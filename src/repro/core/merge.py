@@ -10,12 +10,14 @@ reductions:
   HT-adjusted counts ``max(c_i, tau)`` (the paper's suggested swap-in
   for the pairwise randomization);
 * ``pps`` — exact fixed-size PPS via the Deville-Tille splitting
-  (pivotal) method with HT adjustment ``c_i / pi_i``.
+  (ordered pivotal) method with HT adjustment ``c_i / pi_i``, O(n)
+  after one sort.
 
 Both preserve ``E[estimate]`` per item; ``pps`` additionally keeps the
-total exactly (HT adjustment under fixed-size PPS with
-``pi = min(1, alpha c)`` conserves the grand total only in expectation —
-see tests).
+total exactly: with ``pi = min(1, alpha c)`` every pinned item keeps
+``c_i``, and the sample holds exactly as many unpinned items as their
+``pi`` sum to, each adjusted to ``1 / alpha``, so together they sum to
+the unpinned mass.
 
 The biased Misra-Gries merge (Agarwal et al. 2013) is provided for
 comparison: it soft-thresholds the combined counts by the (m+1)-th
@@ -66,7 +68,7 @@ def reduce_counts(
         mask, pi = splitting_pps_sample(counts, m, rng)
         est = counts[mask] / pi[mask]
         # threshold analogue: the HT-adjusted size of a barely-included item
-        free = pi < 1.0
+        free = (pi > 0.0) & (pi < 1.0)
         thr = float(np.max(counts[free] / pi[free])) if free.any() else 0.0
         return CountSketchResult(items[mask], est, thr, total)
     raise ValueError(f"unknown reduction method {method!r}")

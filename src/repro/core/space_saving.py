@@ -18,6 +18,7 @@ Queries:
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -163,22 +164,10 @@ def subset_sum_variance(n_min: int, c_s: int) -> float:
 
 
 def _z_value(level: float) -> float:
-    """Two-sided Normal quantile via inverse erf (no scipy dependency)."""
+    """Two-sided Normal quantile ``z`` with ``P(|Z| <= z) == level``."""
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0,1), got {level}")
-    # Newton solve of erf(z/sqrt(2)) = level on the scalar; cheap & exact
-    # enough (erf available in math).
-    target = level
-    z = 1.0
-    for _ in range(60):
-        f = math.erf(z / math.sqrt(2)) - target
-        fp = math.sqrt(2 / math.pi) * math.exp(-z * z / 2)
-        z_new = z - f / fp
-        if abs(z_new - z) < 1e-12:
-            z = z_new
-            break
-        z = z_new
-    return z
+    return NormalDist().inv_cdf((1 + level) / 2)
 
 
 class UnbiasedSpaceSaving(SpaceSaving):

@@ -6,13 +6,17 @@ then reduce with *any* unbiased sampling step (Theorem 2). Taking a
 thresholded PPS sample over **all** m+1 bins gives three benefits the
 paper lists: arbitrary real-valued weights, multi-bin reduction, and
 less quadratic variation per step. The cost is real-valued counters and
-an O(m) reduction per absent-item update.
+an O(m) reduction per absent-item update: m+1 bins are reduced to m, so
+``sum(pi) == m == n - 1`` and the sample drops exactly one bin, bin
+``i`` with probability ``1 - pi_i``, drawn in closed form by
+:func:`repro.sampling.pps.splitting_pps_sample`.
 
 This class is the substrate for time-decayed aggregation
 (:mod:`repro.core.decay`) and for signed/real-valued updates.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -46,19 +50,18 @@ class WeightedUnbiasedSpaceSaving:
         if len(counts) <= self.m:
             return
         # reduce m+1 bins back to m with a fixed-size PPS sample + HT
-        items = np.asarray(list(counts.keys()), dtype=object)
-        vals = np.asarray(list(counts.values()), dtype=np.float64)
+        keys = list(counts)
+        vals = np.fromiter(counts.values(), dtype=np.float64, count=len(keys))
         mask, pi = splitting_pps_sample(vals, self.m, self._rng)
-        free = pi < 1.0
+        # a zero-weight bin (pi == 0) has no HT-adjusted size
+        free = (pi > 0.0) & (pi < 1.0)
         if free.any():
             self._threshold = max(
                 self._threshold, float(np.max(vals[free] / pi[free]))
             )
-        self._counts = {
-            x: v / p
-            for x, v, p, keep in zip(items.tolist(), vals, pi, mask)
-            if keep
-        }
+        self._counts = dict(
+            zip(compress(keys, mask.tolist()), (vals[mask] / pi[mask]).tolist())
+        )
 
     def update_many(
         self, items: Iterable[Hashable], weights: Iterable[float] | None = None

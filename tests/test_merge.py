@@ -48,6 +48,19 @@ class TestReduceCounts:
                 np.arange(2), np.ones(2), 1, np.random.default_rng(0), method="x"
             )
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.arange(1.0, 51), np.r_[np.zeros(5), np.geomspace(0.1, 1e6, 45)]],
+    )
+    def test_pps_conserves_total(self, counts):
+        for r in range(50):
+            res = reduce_counts(
+                np.arange(len(counts)), counts, 10, np.random.default_rng(r),
+                method="pps",
+            )
+            assert np.isfinite(res.threshold)
+            assert np.isclose(res.estimates.sum(), counts.sum(), rtol=1e-9, atol=0)
+
     def test_t_preserved(self):
         g = np.random.default_rng(2)
         counts = np.arange(1.0, 21)

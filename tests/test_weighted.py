@@ -1,4 +1,6 @@
 """Weighted Unbiased Space Saving tests (sec 5.3 generalization)."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,23 @@ class TestBasics:
         res = sk.result()
         assert res.t == 5.0
         assert res.estimate("b") == 3.0
+
+    @pytest.mark.parametrize("zeros", [1, 2])
+    def test_zero_weight_on_full_sketch(self, zeros):
+        # one zero-weight bin is the single drop; two leave fewer than m
+        # positive bins, and every positive one is kept
+        sk = WeightedUnbiasedSpaceSaving(3, seed=0)
+        for x, w in [("a", 2.0), ("b", 1.0), ("c", 4.0)][: 3 - zeros + 1]:
+            sk.add(x, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in range(zeros):
+                sk.add(f"zero{z}", 0.0)
+            res = sk.result()
+        est = sk.estimates()
+        assert not any(x.startswith("zero") for x in est)
+        assert np.isfinite(res.estimates).all() and np.isfinite(res.threshold)
+        assert np.isclose(sum(est.values()), sk.t)
 
 
 class TestUnbiasedness:
