@@ -9,7 +9,10 @@ be rewritten — exactly the property that lets a one-pass weighted
 sketch implement time decay.
 
 Here ``g(a) = exp(lambda * a)`` gives exponential decay with rate
-``lambda``: an item's rows decay by ``exp(-lambda * age)``.
+``lambda``: an item's rows decay by ``exp(-lambda * age)``. Before
+``g`` can overflow, the landmark moves forward to the current time and
+the sketch is scaled by ``exp(-lambda * shift)``; one positive factor
+keeps every estimate unbiased.
 """
 from __future__ import annotations
 
@@ -18,6 +21,10 @@ from typing import Hashable
 
 from repro.core.result import CountSketchResult
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
+
+#: largest exponent ``lambda * (t - landmark)`` before the landmark moves
+#: (``exp`` overflows past ~709)
+_MAX_EXPONENT = 300.0
 
 
 class ForwardDecaySpaceSaving:
@@ -38,7 +45,12 @@ class ForwardDecaySpaceSaving:
         if time < self._last_time:
             raise ValueError("forward decay requires non-decreasing timestamps")
         self._last_time = time
-        self._inner.add(item, weight * math.exp(self.rate * (time - self.landmark)))
+        a = self.rate * (time - self.landmark)
+        if a > _MAX_EXPONENT:
+            self._inner._scale(math.exp(-a))
+            self.landmark = time
+            a = 0.0
+        self._inner.add(item, weight * math.exp(a))
 
     def estimates(self, query_time: float | None = None) -> dict:
         """Decayed count estimates normalized to ``query_time``.

@@ -81,7 +81,7 @@ class CountSketchResult:
         Returns ``(estimate, variance_hat, lo, hi)``.
         """
         est, c_s = self.subset_sum(member)
-        var = subset_sum_variance(int(math.ceil(self.threshold)), c_s)
+        var = subset_sum_variance(self.threshold, c_s)
         z = _z_value(level)
         sd = math.sqrt(var)
         return est, var, est - z * sd, est + z * sd

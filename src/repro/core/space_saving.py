@@ -158,7 +158,7 @@ class SpaceSaving:
         return est, var, est - z * sd, est + z * sd
 
 
-def subset_sum_variance(n_min: int, c_s: int) -> float:
+def subset_sum_variance(n_min: float, c_s: int) -> float:
     """Equation 5 of the paper: ``Var_hat(N_S) = N_min**2 * max(C_S, 1)``."""
     return float(n_min) ** 2 * max(c_s, 1)
 

@@ -80,3 +80,45 @@ class TestForwardDecay:
         assert math.isclose(
             res.estimate("a"), math.exp(-0.2) + 1.0, rel_tol=1e-9
         )
+
+    def test_long_span_exact_under_capacity(self):
+        # rate * span = 2000: exp(rate * (t - landmark)) alone overflows
+        rate = 1.0
+        sk = ForwardDecaySpaceSaving(5, rate=rate, seed=0)
+        rows = [("abc"[i % 3], 0.5 * i) for i in range(4001)]
+        for x, t in rows:
+            sk.add(x, t)
+        q = rows[-1][1]
+        exact: dict = {}
+        for x, t in rows:
+            exact[x] = exact.get(x, 0.0) + math.exp(-rate * (q - t))
+        est = sk.estimates(q)
+        assert est.keys() == exact.keys()
+        for x, e in exact.items():
+            assert math.isclose(est[x], e, rel_tol=1e-9), (x, est[x], e)
+
+    def test_long_span_over_capacity(self):
+        rate, m = 0.5, 8
+        rng = np.random.default_rng(4)
+        times = np.sort(rng.uniform(0.0, 4000.0, 3000))  # rate * span = 2000
+        items = rng.integers(0, 40, len(times)).tolist()
+        sk = ForwardDecaySpaceSaving(m, rate=rate, seed=4)
+        for x, t in zip(items, times.tolist()):
+            sk.add(x, t)
+        q = float(times[-1])
+        total = math.fsum(np.exp(-rate * (q - times)).tolist())
+        res = sk.result(q)
+        assert len(res) <= m
+        assert np.isfinite(res.estimates).all() and np.isfinite(res.threshold)
+        assert math.isclose(res.estimates.sum(), total, rel_tol=1e-9)
+        assert math.isclose(res.t, total, rel_tol=1e-9)
+
+    def test_time_gap_past_underflow(self):
+        # exp(-rate * gap) == 0.0: the old bins carry no mass any more
+        sk = ForwardDecaySpaceSaving(3, rate=1.0, seed=0)
+        for t in range(12):
+            sk.add(t % 5, float(t))
+        sk.add("late", 2_000.0, 2.0)
+        sk.add("later", 2_000.0)
+        assert sk.estimates() == {"late": 2.0, "later": 1.0}
+        assert sk.result().t == 3.0

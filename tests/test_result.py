@@ -44,8 +44,18 @@ class TestCountSketchResult:
         r = _res()
         est, var, lo, hi = r.subset_sum_ci({10, 30})
         assert est == 7.0
-        assert var == 9.0 * 2  # ceil(threshold)^2 * C_S
+        assert var == 9.0 * 2  # threshold^2 * C_S
         assert lo <= est <= hi
+
+    def test_fractional_threshold_not_rounded_up(self):
+        # a decayed sketch's threshold is a real number below 1
+        r = CountSketchResult(
+            np.asarray([1, 2, 3]), np.asarray([0.3, 0.3, 2.0]), 0.3, 2.6
+        )
+        est, var, lo, hi = r.subset_sum_ci({1, 2})
+        assert np.isclose(est, 0.6)
+        assert np.isclose(var, 0.09 * 2)
+        assert np.isclose(hi - lo, 2 * 1.959963984540054 * np.sqrt(0.18))
 
     def test_empty_subset_ci_uses_floor(self):
         r = _res()

@@ -1,10 +1,13 @@
 """Weighted Unbiased Space Saving tests (sec 5.3 generalization)."""
+import copy
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
+from repro.sampling.pps import thresholded_pps_probs
 
 
 class TestBasics:
@@ -88,3 +91,105 @@ class TestUnbiasedness:
                 sk.add(i, float(i + 1))
             tot += sum(sk.estimates().values())
         assert abs(tot / reps - 55.0) < 0.06 * 55.0
+
+
+def _full_sketch(m, seed=0):
+    """A sketch past many reductions: its floor holds several bins."""
+    sk = WeightedUnbiasedSpaceSaving(m, seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in range(20 * m):
+        sk.add(i, float(rng.uniform(0.5, 2.0)))
+    return sk
+
+
+def _drop_frequencies(base, item, weight, reps):
+    """How often each bin of ``base`` plus ``item`` is dropped by one add."""
+    values = base.estimates()
+    values[item] = values.get(item, 0.0) + weight
+    keys = list(values)
+    drops = dict.fromkeys(keys, 0)
+    for r in range(reps):
+        sk = copy.deepcopy(base)
+        sk._rng.seed(r)
+        sk.add(item, weight)
+        after = sk.estimates()
+        (dropped,) = [x for x in keys if x not in after]
+        drops[dropped] += 1
+        assert len(after) == base.m
+        assert np.isclose(sum(after.values()), sum(values.values()), rtol=1e-12)
+    probs = thresholded_pps_probs(np.array([values[x] for x in keys]), base.m)
+    return np.array([drops[x] / reps for x in keys]), 1.0 - probs
+
+
+class TestReduction:
+    """One m+1 -> m reduction drops bin i with probability 1 - pi_i."""
+
+    REPS = 4000
+
+    def _check(self, base, item, weight):
+        freq, want = _drop_frequencies(base, item, weight, self.REPS)
+        tol = 4.5 * np.sqrt(want * (1 - want) / self.REPS) + 1e-3
+        assert np.all(np.abs(freq - want) <= tol), (freq, want)
+        return want
+
+    def test_light_item_on_populated_floor(self):
+        base = _full_sketch(6)
+        assert len(base._floor) >= 2
+        self._check(base, "new", 0.3 * base._tau)
+
+    def test_heavy_item_is_pinned(self):
+        base = _full_sketch(6)
+        want = self._check(base, "new", 10.0 * max(base.estimates().values()))
+        assert want[-1] == 0.0  # the new item is never dropped
+
+    def test_stale_heap_entry(self):
+        base = _full_sketch(6, seed=3)
+        x, y, z = base._floor[0], base._floor[1], base._floor[2]
+        tau = base._tau
+        base.add(y, 0.05 * tau)
+        base.add(z, 0.05 * tau)
+        base.add(x, 0.01 * tau)  # leaves the floor below y and z ...
+        base.add(x, 10.0 * tau)  # ... and its heap entry goes stale
+        assert any(key < base._above[b] for key, _, b in base._heap)
+        want = self._check(base, "new", 0.5 * tau)
+        keys = list(base.estimates()) + ["new"]
+        assert want[keys.index(x)] == 0.0 and want[keys.index(y)] > 0.0
+
+    def test_single_bin(self):
+        base = WeightedUnbiasedSpaceSaving(1, seed=0)
+        base.add("a", 2.0)
+        want = self._check(base, "b", 1.0)
+        assert np.allclose(want, [1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize("first", [("a",), ("a", "b")])
+    def test_negligible_unit_dropped(self, first):
+        # 1e20 * 1 >= 1e20 + (the rest) in floating point: the rest is
+        # the single unpinned unit (on the floor after the second add)
+        sk = WeightedUnbiasedSpaceSaving(1, seed=0)
+        for x in first:
+            sk.add(x, 1.0)
+        sk.add("big", 1e20)
+        assert sk.estimates() == {"big": 1e20}
+        assert np.isfinite(sk.result().threshold)
+
+
+class TestState:
+    def test_total_conserved_on_miss_heavy_stream(self):
+        rng = np.random.default_rng(5)
+        items = rng.integers(0, 10**6, 20_000).tolist()
+        weights = (1.0 + rng.pareto(1.5, 20_000)).tolist()
+        sk = WeightedUnbiasedSpaceSaving(50, seed=5)
+        sk.update_many(items, weights)
+        est = sk.estimates()
+        assert len(est) == 50
+        assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
+        assert math.isclose(sk.t, math.fsum(weights), rel_tol=1e-9)
+
+    def test_estimates_and_result_agree(self):
+        sk = _full_sketch(8, seed=2)
+        sk.add(sk._floor[0], 1.0)
+        est = sk.estimates()
+        res = sk.result()
+        assert res.estimates_dict() == est
+        assert res.threshold == sk._tau > 0
+        assert min(est.values()) >= 0
