@@ -3,12 +3,8 @@
 One round at BENCH scale; writes results/t1_inclusion_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t1_inclusion as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t1_inclusion_bench(spark, benchmark):
@@ -16,11 +12,7 @@ def test_t1_inclusion_bench(spark, benchmark):
         lambda: exp.run(spark, **params("t1", "bench")), rounds=1, iterations=1
     )
     tab = exp.summarize(per_item)
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t1_inclusion_bench.csv", index=False)
-    per_item.to_csv("results/t1_inclusion_items_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t1", "bench", tab, per_item)
     # empirical inclusion tracks thresholded PPS in every count decile
     assert (tab["abs_gap"] < 0.06).all()
     # heaviest decile is sampled with certainty

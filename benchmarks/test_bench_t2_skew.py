@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t2_skew_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t2_skew as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t2_skew_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t2", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t2_skew_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t2", "bench", tab)
     by_shape = tab.groupby("shape")["rrmse_mean"].mean().sort_index()
     # more skew (lower shape) -> lower error, monotone across the sweep ends
     assert by_shape.iloc[0] < by_shape.iloc[-1]

@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t3_bottomk_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t3_bottomk as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t3_bottomk_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t3", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t3_bottomk_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t3", "bench", tab)
     ratios = tab["bottomk_over_uss"].dropna()
     # uniform item sampling is far worse on skewed data, in every bucket
     assert (ratios > 2.0).all()

@@ -3,25 +3,15 @@
 One round at BENCH scale; writes results/t4_priority_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t4_priority as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t4_priority_bench(spark, benchmark):
     tab, totals = benchmark.pedantic(
         lambda: exp.run(spark, **params("t4", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t4_priority_bench.csv", index=False)
-    totals.to_csv("results/t4_priority_totals_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
-    print()
-    print(totals.to_string(index=False))
+    write_tables("t4", "bench", tab, totals)
     by = tab.groupby("method")["rrmse_mean"].mean()
     # USS matches (or beats) the pre-aggregated gold standard
     assert by["unbiased_ss"] < 1.25 * by["priority"]

@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t5_criteo_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t5_criteo as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t5_criteo_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t5", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t5_criteo_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t5", "bench", tab)
     for method, grp in tab.groupby("method"):
         g = grp.sort_values("bucket")
         # relative MSE falls with marginal size; big marginals are tight

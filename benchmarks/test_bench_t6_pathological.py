@@ -1,27 +1,17 @@
 """pytest-benchmark target for T6: two-phase pathological stream (Fig 7).
 
-One round at BENCH scale; writes results/t6_pathological_bench.csv (the numbers
-quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
+One round at BENCH scale; writes results/t6_pathological_{inclusion,error}_bench.csv
+(the numbers quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t6_pathological as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t6_pathological_bench(spark, benchmark):
     inc, err = benchmark.pedantic(
         lambda: exp.run(spark, **params("t6", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    inc.to_csv("results/t6_pathological_inclusion_bench.csv", index=False)
-    err.to_csv("results/t6_pathological_error_bench.csv", index=False)
-    print()
-    print(inc.to_string(index=False))
-    print()
-    print(err.to_string(index=False))
+    write_tables("t6", "bench", inc, err)
     e = err.set_index("method")
     # det SS is badly biased on first-half queries; USS is not
     assert e.loc["deterministic_ss", "rel_bias_mean"] < -0.5

@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t7_epochs_ci_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t7_epochs_ci as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t7_epochs_ci_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t7", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t7_epochs_ci_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t7", "bench", tab)
     clt = tab[tab["mean_items_in_sample"] >= 10]
     # where the CLT applies, coverage is at or above the advertised 95%
     assert (clt["coverage"] >= 0.9).all()

@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t8_epochs_det_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t8_epochs_det as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t8_epochs_det_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t8", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t8_epochs_det_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t8", "bench", tab)
     late = tab.iloc[-2:]
     # paper: ~50x error on the last epochs; demand at least 5x here
     assert (late["det_over_uss"] > 5.0).all()

@@ -3,22 +3,15 @@
 One round at BENCH scale; writes results/t9_distributed_bench.csv (the numbers
 quoted in EXPERIMENTS.md) and asserts the paper's qualitative claim.
 """
-import os
-
-import pandas as pd
-
 from repro.experiments import t9_distributed as exp
-from repro.experiments.scales import params
+from repro.experiments.scales import params, write_tables
 
 
 def test_t9_distributed_bench(spark, benchmark):
     tab = benchmark.pedantic(
         lambda: exp.run(spark, **params("t9", "bench")), rounds=1, iterations=1
     )
-    os.makedirs("results", exist_ok=True)
-    tab.to_csv("results/t9_distributed_bench.csv", index=False)
-    print()
-    print(tab.to_string(index=False))
+    write_tables("t9", "bench", tab)
     # merged per-partition sketches stay unbiased across brand queries
     assert abs(tab["rel_bias"].mean()) < 0.05
     assert tab["coverage"].mean() >= 0.9

@@ -31,8 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.result import CountSketchResult
-from repro.core.space_saving import SpaceSaving
+from repro.core.result import CountSketchResult, item_array
 from repro.sampling.pps import splitting_pps_sample
 from repro.sampling.priority import priority_sample
 
@@ -42,7 +41,7 @@ def _combined(counts_maps: Iterable[Mapping]) -> tuple[np.ndarray, np.ndarray]:
     for cm in counts_maps:
         for x, c in cm.items():
             acc[x] += c
-    items = np.asarray(list(acc.keys()))
+    items = item_array(list(acc.keys()))
     counts = np.asarray(list(acc.values()), dtype=np.float64)
     return items, counts
 
@@ -55,14 +54,18 @@ def reduce_counts(
     *,
     method: str = "priority",
 ) -> CountSketchResult:
-    """Unbiasedly reduce (item, count) pairs to at most ``m`` bins."""
+    """Unbiasedly reduce (item, count) pairs to at most ``m`` bins.
+
+    Zero counts are never kept: their estimate is 0 either way.
+    """
     items = np.asarray(items)
     counts = np.asarray(counts, dtype=np.float64)
     total = float(counts.sum())
     if len(items) <= m:
         return CountSketchResult(items, counts.copy(), 0.0, total)
     if method == "priority":
-        ps = priority_sample(items, counts, m, rng)
+        nz = counts != 0
+        ps = priority_sample(items[nz], counts[nz], m, rng)
         return CountSketchResult(ps.items, ps.estimates, ps.tau, total)
     if method == "pps":
         mask, pi = splitting_pps_sample(counts, m, rng)
@@ -75,7 +78,7 @@ def reduce_counts(
 
 
 def merge_unbiased(
-    sketches: Iterable[SpaceSaving | CountSketchResult | Mapping],
+    sketches: Iterable,
     m: int,
     *,
     rng: np.random.Generator | None = None,
@@ -83,19 +86,15 @@ def merge_unbiased(
 ) -> CountSketchResult:
     """Merge sketches into one unbiased ``m``-bin summary (Theorem 2).
 
-    Accepts :class:`SpaceSaving` sketches, prior merge results, or raw
-    ``item -> count`` mappings; estimates are summed exactly by item and
-    then reduced.
+    Accepts raw ``item -> count`` mappings or anything with a
+    ``.result()`` returning a :class:`CountSketchResult` (every sketch,
+    and a prior merge result, which is its own result); estimates are
+    summed exactly by item and then reduced.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    maps = []
-    for s in sketches:
-        if isinstance(s, SpaceSaving):
-            maps.append(s.estimates())
-        elif isinstance(s, CountSketchResult):
-            maps.append(s.estimates_dict())
-        else:
-            maps.append(s)
+    maps = [
+        s.result().estimates_dict() if hasattr(s, "result") else s for s in sketches
+    ]
     items, counts = _combined(maps)
     return reduce_counts(items, counts, m, rng, method=method)
 

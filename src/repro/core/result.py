@@ -1,20 +1,56 @@
-"""Shared result container for merged / distributed count sketches.
+"""The one query type of every count sketch (paper secs 5.5, 6.4).
 
-A reduced sketch is a set of (item, adjusted-count) pairs plus the
-reduction threshold. The threshold plays the role of ``N_min`` in the
-paper's variance estimator (eq. 5): an item absent from the sketch has
-estimated count 0 and items near the threshold carry variance of order
-``threshold**2`` each.
+A sketch, a reduced sketch or a merge is a set of (item, unbiased
+estimate) pairs plus a threshold. The threshold plays the role of
+``N_min`` in the paper's variance estimator (eq. 5): an item absent
+from the sketch has estimated count 0 and items near the threshold
+carry variance of order ``threshold**2`` each. Theorem 2 makes any
+unbiased reduction or merge of such a set another such set.
+
+The queries live here and only here: subset sums, eq.-5 confidence
+intervals, top-k and frames. Every sketch answers them through its
+``.result()`` — :class:`~repro.core.space_saving.SpaceSaving`, the
+weighted and forward-decay sketches, and the merges in
+:mod:`repro.core.merge`, which return a :class:`CountSketchResult`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable
 
 import numpy as np
 import pandas as pd
 
-from repro.core.space_saving import _z_value, subset_sum_variance
+from repro.core.variance import normal_ci, subset_sum_variance
+
+
+def item_array(items: list) -> np.ndarray:
+    """Items as a 1-D array of the keys themselves.
+
+    Keys of one scalar type get numpy's dtype for it. Tuple (composite)
+    and mixed keys get object dtype: ``np.asarray`` would turn
+    equal-length tuples into a 2-D array and mixed ints and strings into
+    strings.
+    """
+    kinds = set(map(type, items))
+    if len(kinds) == 1 and issubclass(kinds.pop(), (int, float, str, np.generic)):
+        return np.asarray(items)
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+def membership(member) -> Callable[[Hashable], bool]:
+    """Membership test for a subset given as a predicate or as items."""
+    if callable(member):
+        return member
+    if not isinstance(member, (set, frozenset)):
+        member = set(member)
+    return member.__contains__
+
+
+def member_mask(items: np.ndarray, member) -> np.ndarray:
+    """Boolean mask of the ``items`` that fall in the subset ``member``."""
+    return np.fromiter(map(membership(member), items), dtype=bool, count=len(items))
 
 
 @dataclass(frozen=True)
@@ -28,6 +64,9 @@ class CountSketchResult:
     threshold: reduction threshold (0 when no reduction happened);
         the ``N_min``-analogue used for variance estimation
     t: total mass the sketch summarizes (sum of pre-reduction counts)
+
+    ``member`` arguments are a set (or any collection) of items or a
+    predicate over items.
     """
 
     items: np.ndarray
@@ -38,50 +77,55 @@ class CountSketchResult:
     def __len__(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def _by_item(self) -> dict:
+        return dict(zip(self.items.tolist(), self.estimates.tolist()))
+
+    def result(self) -> CountSketchResult:
+        """A result is its own result (see :func:`repro.core.merge.merge_unbiased`)."""
+        return self
+
     def estimates_dict(self) -> dict:
         """item -> estimate mapping."""
-        return dict(zip(self.items.tolist(), self.estimates.tolist()))
+        return dict(self._by_item)
 
     def estimate(self, item) -> float:
         """Estimate for one item (0 when absent)."""
-        hits = self.estimates[self.items == item]
-        return float(hits[0]) if len(hits) else 0.0
+        return float(self._by_item.get(item, 0.0))
 
     def frequent_items(self, k: int | None = None) -> list[tuple]:
-        """Top-k (item, estimate) pairs by estimate."""
-        order = np.argsort(-self.estimates)
-        if k is not None:
-            order = order[:k]
-        return list(zip(self.items[order].tolist(), self.estimates[order].tolist()))
+        """Top-``k`` (item, estimate) pairs by estimate (all when ``k`` is None)."""
+        top = sorted(self._by_item.items(), key=lambda kv: -kv[1])
+        return top if k is None else top[:k]
 
     def to_pandas(self) -> pd.DataFrame:
         """Two-column frame ``[item, estimate]``."""
         return pd.DataFrame({"item": self.items, "estimate": self.estimates})
 
-    def _member_mask(self, member) -> np.ndarray:
-        if callable(member):
-            return np.fromiter(
-                (member(x) for x in self.items), dtype=bool, count=len(self.items)
-            )
-        s = set(member)
-        return np.fromiter(
-            (x in s for x in self.items), dtype=bool, count=len(self.items)
-        )
-
     def subset_sum(self, member) -> tuple[float, int]:
-        """``(N_hat_S, C_S)`` — estimate and number of sketch items in S."""
-        mask = self._member_mask(member)
-        return float(self.estimates[mask].sum()), int(mask.sum())
+        """``(N_hat_S, C_S)`` — estimate and number of sketch items in S.
+
+        ``C_S`` feeds the variance estimator (eqs. 4-5 of the paper).
+        """
+        test = membership(member)
+        s = 0
+        c = 0
+        for x, v in self._by_item.items():
+            if test(x):
+                s += v
+                c += 1
+        return float(s), c
 
     def subset_sum_ci(
         self, member, *, level: float = 0.95
     ) -> tuple[float, float, float, float]:
         """Subset sum with eq.-5 variance and a Normal confidence interval.
 
-        Returns ``(estimate, variance_hat, lo, hi)``.
+        Returns ``(estimate, variance_hat, lo, hi)`` where
+        ``variance_hat = threshold**2 * max(C_S, 1)`` and the interval is
+        ``estimate +/- z * sqrt(variance_hat)`` (secs 6.4-6.5).
         """
         est, c_s = self.subset_sum(member)
         var = subset_sum_variance(self.threshold, c_s)
-        z = _z_value(level)
-        sd = math.sqrt(var)
-        return est, var, est - z * sd, est + z * sd
+        lo, hi = normal_ci(est, var, level=level)
+        return est, var, lo, hi

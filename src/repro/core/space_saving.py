@@ -14,17 +14,22 @@ Queries:
   confidence intervals;
 * frequent items / heavy hitters;
 * the Misra-Gries view ``(N_i - N_min)_+`` (section 5.2 isomorphism).
+
+Per-item estimates and the Misra-Gries view read the kernel. The other
+queries live in :class:`~repro.core.result.CountSketchResult`, the one
+query type of every sketch: :meth:`SpaceSaving.result` is the sketch as
+a result with threshold ``N_min``, and the query methods here delegate
+to it.
 """
 from __future__ import annotations
 
-import math
-from statistics import NormalDist
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 import pandas as pd
 
 from repro.core.kernel import SpaceSavingKernel
+from repro.core.result import CountSketchResult, item_array
 
 
 class SpaceSaving:
@@ -35,6 +40,7 @@ class SpaceSaving:
 
     def __init__(self, m: int, *, seed: int | None = None):
         self._k = SpaceSavingKernel(m, unbiased=self.unbiased, seed=seed)
+        self._result: CountSketchResult | None = None
 
     # -- ingestion ---------------------------------------------------------
 
@@ -92,20 +98,30 @@ class SpaceSaving:
         """item -> estimated count for all stored items."""
         return self._k.estimates()
 
+    def result(self) -> CountSketchResult:
+        """The sketch as a :class:`CountSketchResult` (threshold ``N_min``).
+
+        Built once and reused until the next update moves ``t``; its
+        arrays are read-only because every caller shares them.
+        """
+        k = self._k
+        if self._result is None or self._result.t != k.t:
+            counts = k.counts
+            est = np.fromiter(
+                (counts[b] for b in k.bin_of.values()), np.int64, len(k.bin_of)
+            )
+            items = item_array(list(k.bin_of))
+            items.flags.writeable = est.flags.writeable = False
+            self._result = CountSketchResult(items, est, k.n_min, k.t)
+        return self._result
+
     def to_pandas(self) -> pd.DataFrame:
         """The sketch as a two-column frame ``[item, estimate]``."""
-        est = self._k.estimates()
-        return pd.DataFrame(
-            {"item": list(est.keys()), "estimate": list(est.values())}
-        )
+        return self.result().to_pandas()
 
     def frequent_items(self, k: int | None = None) -> list[tuple[Hashable, int]]:
-        """Top-``k`` (item, estimate) pairs by estimated count.
-
-        With ``k=None`` returns all stored items, descending by count.
-        """
-        items = sorted(self._k.estimates().items(), key=lambda kv: -kv[1])
-        return items if k is None else items[:k]
+        """Top-``k`` (item, estimate) pairs, descending (all when ``k`` is None)."""
+        return self.result().frequent_items(k)
 
     def misra_gries_view(self) -> dict:
         """The isomorphic Misra-Gries estimates ``(N_i - N_min)_+``.
@@ -124,20 +140,8 @@ class SpaceSaving:
     def subset_sum(
         self, subset: set | Callable[[Hashable], bool]
     ) -> tuple[float, int]:
-        """Estimate ``sum_{i in S} n_i`` and return ``(N_hat_S, C_S)``.
-
-        ``subset`` is a membership set or predicate over items. ``C_S``
-        is the number of sketch items falling in ``S`` (used by the
-        variance estimator, eq. 4-5 of the paper).
-        """
-        member = subset if callable(subset) else subset.__contains__
-        s = 0
-        c = 0
-        for x, cnt in self._k.estimates().items():
-            if member(x):
-                s += cnt
-                c += 1
-        return float(s), c
+        """``(N_hat_S, C_S)``; see :meth:`CountSketchResult.subset_sum`."""
+        return self.result().subset_sum(subset)
 
     def subset_sum_ci(
         self,
@@ -145,29 +149,8 @@ class SpaceSaving:
         *,
         level: float = 0.95,
     ) -> tuple[float, float, float, float]:
-        """Subset sum with variance estimate and Normal CI (sec 6.4-6.5).
-
-        Returns ``(estimate, variance_hat, lo, hi)`` where
-        ``variance_hat = N_min**2 * max(C_S, 1)`` (eq. 5) and the CI is
-        ``estimate ± z * sqrt(variance_hat)``.
-        """
-        est, c_s = self.subset_sum(subset)
-        var = subset_sum_variance(self.n_min, c_s)
-        z = _z_value(level)
-        sd = math.sqrt(var)
-        return est, var, est - z * sd, est + z * sd
-
-
-def subset_sum_variance(n_min: float, c_s: int) -> float:
-    """Equation 5 of the paper: ``Var_hat(N_S) = N_min**2 * max(C_S, 1)``."""
-    return float(n_min) ** 2 * max(c_s, 1)
-
-
-def _z_value(level: float) -> float:
-    """Two-sided Normal quantile ``z`` with ``P(|Z| <= z) == level``."""
-    if not 0 < level < 1:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    return NormalDist().inv_cdf((1 + level) / 2)
+        """``(estimate, variance_hat, lo, hi)`` with eq.-5 variance ``N_min**2 * max(C_S, 1)``."""
+        return self.result().subset_sum_ci(subset, level=level)
 
 
 class UnbiasedSpaceSaving(SpaceSaving):
@@ -184,8 +167,6 @@ class DeterministicSpaceSaving(SpaceSaving):
 
 
 def sketch_arrays(sketch: SpaceSaving) -> tuple[np.ndarray, np.ndarray]:
-    """(items, counts) arrays for vectorized post-processing."""
-    est = sketch.estimates()
-    return np.asarray(list(est.keys())), np.asarray(
-        list(est.values()), dtype=np.int64
-    )
+    """(items, counts) arrays for vectorized post-processing (read-only)."""
+    res = sketch.result()
+    return res.items, res.estimates

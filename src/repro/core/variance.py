@@ -10,10 +10,10 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
-from repro.core.space_saving import _z_value, subset_sum_variance
 from repro.sampling.pps import thresholded_pps_probs
 
 __all__ = [
@@ -22,6 +22,18 @@ __all__ = [
     "coverage",
     "pps_reference_variance",
 ]
+
+
+def subset_sum_variance(n_min: float, c_s: int) -> float:
+    """Equation 5 of the paper: ``Var_hat(N_S) = N_min**2 * max(C_S, 1)``."""
+    return float(n_min) ** 2 * max(c_s, 1)
+
+
+def _z_value(level: float) -> float:
+    """Two-sided Normal quantile ``z`` with ``P(|Z| <= z) == level``."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0,1), got {level}")
+    return NormalDist().inv_cdf((1 + level) / 2)
 
 
 def normal_ci(

@@ -41,7 +41,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from repro.core.kernel import RandomBag
-from repro.core.result import CountSketchResult
+from repro.core.result import CountSketchResult, item_array
 # unused here, but `ussbench/run.py --trace 1` patches it on this module
 from repro.sampling.pps import splitting_pps_sample  # noqa: F401
 
@@ -186,6 +186,6 @@ class WeightedUnbiasedSpaceSaving:
     def result(self) -> CountSketchResult:
         """Snapshot as a :class:`CountSketchResult`."""
         est = self.estimates()
-        items = np.asarray(list(est.keys()))
+        items = item_array(list(est.keys()))
         vals = np.asarray(list(est.values()), dtype=np.float64)
         return CountSketchResult(items, vals, self._tau, self._t)

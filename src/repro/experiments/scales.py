@@ -1,15 +1,37 @@
-"""Canonical parameter sets per table, plus a spark-submit session helper.
+"""Canonical parameter sets per table, the table's output files, and a
+spark-submit session helper.
 
 ``BENCH`` is the scale used for EXPERIMENTS.md numbers (paper scale
 reduced per DESIGN.md substitution #2 — same m/items/rows regime,
 smaller absolutes). ``TEST`` is the micro scale used by the pytest
-smoke tests. Jobs accept ``--scale test|bench``.
+smoke tests. ``jobs/run.py`` accepts ``--scale test|bench``; it and the
+``benchmarks/test_bench_t*.py`` targets write their CSVs through
+:func:`write_tables`.
 """
 from __future__ import annotations
 
 import os
 
+import pandas as pd
 from pyspark.sql import SparkSession
+
+#: table -> (module under ``repro.experiments``, CSV name of each frame
+#: the table writes, in order; T1 writes its ``summarize``d table and then
+#: the per-item frame ``run`` returns)
+TABLES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "t1": ("t1_inclusion", ("t1_inclusion", "t1_inclusion_items")),
+    "t2": ("t2_skew", ("t2_skew",)),
+    "t3": ("t3_bottomk", ("t3_bottomk",)),
+    "t4": ("t4_priority", ("t4_priority", "t4_priority_totals")),
+    "t5": ("t5_criteo", ("t5_criteo",)),
+    "t6": (
+        "t6_pathological",
+        ("t6_pathological_inclusion", "t6_pathological_error"),
+    ),
+    "t7": ("t7_epochs_ci", ("t7_epochs_ci",)),
+    "t8": ("t8_epochs_det", ("t8_epochs_det",)),
+    "t9": ("t9_distributed", ("t9_distributed",)),
+}
 
 BENCH: dict[str, dict] = {
     "t1": dict(n_items=1000, total=300_000, shape=0.15, m=100, n_reps=300),
@@ -70,6 +92,14 @@ def params(table: str, scale: str) -> dict:
     """Parameter dict for ``table`` at ``scale`` ('test' or 'bench')."""
     book = {"test": TEST, "bench": BENCH}[scale]
     return dict(book[table])
+
+
+def write_tables(table: str, scale: str, *frames: pd.DataFrame) -> None:
+    """Print ``frames`` and write each to ``results/<name>_<scale>.csv``."""
+    os.makedirs("results", exist_ok=True)
+    for name, frame in zip(TABLES[table][1], frames, strict=True):
+        print(frame.to_string(index=False, max_rows=60), end="\n\n")
+        frame.to_csv(f"results/{name}_{scale}.csv", index=False)
 
 
 def get_session(app: str) -> SparkSession:

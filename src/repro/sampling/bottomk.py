@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.result import item_array, member_mask
+
 
 @dataclass(frozen=True)
 class BottomKSample:
@@ -30,15 +32,7 @@ class BottomKSample:
 
     def subset_sum(self, member) -> float:
         """Estimate of ``sum_{i in S} n_i`` via the tau-adjusted HT form."""
-        if callable(member):
-            mask = np.fromiter(
-                (member(x) for x in self.items), dtype=bool, count=len(self.items)
-            )
-        else:
-            s = set(member)
-            mask = np.fromiter(
-                (x in s for x in self.items), dtype=bool, count=len(self.items)
-            )
+        mask = member_mask(self.items, member)
         if self.tau <= 0:  # nothing was excluded: the sample is exact
             return float(self.counts[mask].sum())
         return float(self.counts[mask].sum() / self.tau)
@@ -120,7 +114,7 @@ class StreamingBottomK:
 
     def result(self) -> BottomKSample:
         """Snapshot of the current bottom-k sample."""
-        items = np.asarray(list(self._counts.keys()))
+        items = item_array(list(self._counts.keys()))
         counts = np.asarray(list(self._counts.values()), dtype=np.float64)
         tau = 0.0 if len(self._counts) < self.k else self._tau
         return BottomKSample(items, counts, tau)

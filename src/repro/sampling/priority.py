@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.result import member_mask
+
 
 @dataclass(frozen=True)
 class PrioritySample:
@@ -38,7 +40,7 @@ class PrioritySample:
         ``member`` is a membership set/array-test or predicate over the
         item identifiers.
         """
-        mask = _member_mask(self.items, member)
+        mask = member_mask(self.items, member)
         return float(self.estimates[mask].sum())
 
     def subset_sum_variance(self, member) -> float:
@@ -47,18 +49,9 @@ class PrioritySample:
         This is the HT plug-in for Poisson PPS with pseudo-inclusion
         ``min(1, n_i/tau)``; items with ``n_i >= tau`` contribute zero.
         """
-        mask = _member_mask(self.items, member)
+        mask = member_mask(self.items, member)
         w = self.weights[mask]
         return float(np.maximum(self.tau - w, 0.0).sum() * self.tau)
-
-
-def _member_mask(items: np.ndarray, member) -> np.ndarray:
-    if callable(member):
-        return np.fromiter((member(x) for x in items), dtype=bool, count=len(items))
-    member_set = set(member)
-    return np.fromiter(
-        (x in member_set for x in items), dtype=bool, count=len(items)
-    )
 
 
 def priority_sample(

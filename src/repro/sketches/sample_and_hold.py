@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from typing import Hashable, Iterable
 
+from repro.core.result import membership
+
 
 class AdaptiveSampleAndHold:
     """m-item adaptive sample-and-hold with unbiased estimates."""
@@ -96,5 +98,5 @@ class AdaptiveSampleAndHold:
 
     def subset_sum(self, member) -> float:
         """Unbiased estimate of the subset sum over tracked items."""
-        test = member if callable(member) else member.__contains__
+        test = membership(member)
         return sum(v for x, v in self.estimates().items() if test(x))

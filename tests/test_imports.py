@@ -1,0 +1,59 @@
+"""Import guard and job-entrypoint checks (no linter runs on this repo).
+
+Every module must import as the first one in a fresh interpreter: an
+import cycle, such as ``result -> variance -> space_saving -> result``,
+only shows when the cycle's modules are entered in a particular order.
+"""
+import os
+import pkgutil
+import runpy
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import repro
+from repro.experiments import scales
+
+ROOT = Path(__file__).resolve().parent.parent
+JOB = ROOT / "jobs" / "run.py"
+MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
+
+
+def _import_first(code: str) -> str:
+    """stderr of a fresh interpreter that runs ``code`` ("" on success)."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return "" if proc.returncode == 0 else proc.stderr
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    codes = [f"import {m}" for m in MODULES]
+    codes.append(f"import runpy; runpy.run_path({str(JOB)!r})")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        errors = dict(zip(codes, pool.map(_import_first, codes)))
+    assert len(MODULES) > 30
+    assert not any(errors.values()), {c: e for c, e in errors.items() if e}
+
+
+def test_job_tables_cover_every_table():
+    tables = runpy.run_path(str(JOB))["TABLES"]
+    assert set(tables) == set(scales.BENCH) == set(scales.TEST)
+    for module, _ in tables.values():
+        assert (ROOT / "src" / "repro" / "experiments" / f"{module}.py").is_file()
+
+
+def test_job_csv_names_match_committed_results():
+    tables = runpy.run_path(str(JOB))["TABLES"]
+    assert tables["t1"][1] == ("t1_inclusion", "t1_inclusion_items")
+    assert tables["t4"][1] == ("t4_priority", "t4_priority_totals")
+    assert tables["t6"][1] == ("t6_pathological_inclusion", "t6_pathological_error")
+    written = {f"{name}_bench.csv" for _, names in tables.values() for name in names}
+    committed = {p.name for p in (ROOT / "results").glob("*_bench.csv")}
+    assert written == committed

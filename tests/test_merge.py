@@ -1,11 +1,14 @@
 """Merge operation tests (sec 5.5, Theorem 2)."""
+import math
 import random
 
 import numpy as np
 import pytest
 
+from repro.core.decay import ForwardDecaySpaceSaving
 from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts
 from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
 
 def _sketch(stream, m, seed):
@@ -41,6 +44,17 @@ class TestReduceCounts:
                 acc[int(it)] += est
         means = acc / reps
         assert np.allclose(means, counts, rtol=0.1, atol=0.3)
+
+    def test_priority_drops_zero_counts(self):
+        res = reduce_counts(
+            np.arange(5), [0, 1, 2, 3, 4], 3, np.random.default_rng(0)
+        )
+        assert len(res) == 3 and 0 not in res.items.tolist()
+        assert res.t == 10.0
+
+    def test_priority_all_zero_beyond_m(self):
+        res = reduce_counts(np.arange(5), np.zeros(5), 3, np.random.default_rng(0))
+        assert len(res) == 0 and res.t == 0.0
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -113,6 +127,46 @@ class TestMergeUnbiased:
         res = merge_unbiased([a, b], 10, rng=np.random.default_rng(0))
         assert len(res) <= 10
         assert res.threshold > 0
+
+
+    def test_weighted_sketches(self):
+        a = WeightedUnbiasedSpaceSaving(10, seed=0)
+        a.update_many("aab", [1.0, 2.0, 0.5])
+        b = WeightedUnbiasedSpaceSaving(10, seed=1)
+        b.update_many("bc", [1.5, 4.0])
+        res = merge_unbiased([a, b], 10, rng=np.random.default_rng(0))
+        assert res.estimates_dict() == {"a": 3.0, "b": 2.0, "c": 4.0}
+
+    def test_decayed_sketches(self):
+        a = ForwardDecaySpaceSaving(10, rate=math.log(2), seed=0)
+        a.add("a", 0.0)
+        a.add("b", 1.0)
+        b = ForwardDecaySpaceSaving(10, rate=math.log(2), seed=1)
+        b.add("a", 1.0)
+        res = merge_unbiased([a, b], 10, rng=np.random.default_rng(0))
+        assert res.estimates_dict() == pytest.approx({"a": 1.5, "b": 1.0})
+        later = merge_unbiased(
+            [a.result(2.0), b.result(2.0)], 10, rng=np.random.default_rng(0)
+        )
+        assert later.estimates_dict() == pytest.approx({"a": 0.75, "b": 0.5})
+
+    @pytest.mark.parametrize("make", ["space_saving", "weighted"])
+    def test_tuple_keys(self, make):
+        rows = [("x", 1), ("y", 2), ("x", 1)]
+        if make == "space_saving":
+            s = _sketch(rows, 5, 0)
+        else:
+            s = WeightedUnbiasedSpaceSaving(5, seed=0)
+            s.update_many(rows)
+        res = merge_unbiased([s, s], 5, rng=np.random.default_rng(0))
+        assert res.items.shape == (2,)
+        assert res.estimates_dict() == {("x", 1): 4.0, ("y", 2): 2.0}
+
+    def test_tuple_keys_reduced(self):
+        s = _sketch([(i % 7, "k") for i in range(70)], 10, 0)
+        res = merge_unbiased([s, s], 3, rng=np.random.default_rng(0))
+        assert len(res) == 3
+        assert all(isinstance(x, tuple) for x in res.estimates_dict())
 
 
 class TestMergeMisraGries:

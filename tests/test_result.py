@@ -1,7 +1,8 @@
 """CountSketchResult container tests."""
 import numpy as np
+import pytest
 
-from repro.core.result import CountSketchResult
+from repro.core.result import CountSketchResult, item_array
 
 
 def _res():
@@ -23,6 +24,18 @@ class TestCountSketchResult:
         r = _res()
         assert r.estimate(20) == 15.0
         assert r.estimate(99) == 0.0
+
+    @pytest.mark.parametrize("present,absent", [(7, 8), ("x", "y"), ((7, "x"), (7, "y"))])
+    def test_estimate_by_key_type(self, present, absent):
+        r = CountSketchResult(
+            item_array([present, "other"]), np.asarray([2.5, 1.0]), 1.0, 3.5
+        )
+        assert r.estimate(present) == 2.5
+        assert r.estimate(absent) == 0.0
+
+    def test_result_is_its_own_result(self):
+        r = _res()
+        assert r.result() is r
 
     def test_frequent_items(self):
         r = _res()

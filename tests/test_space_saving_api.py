@@ -9,10 +9,9 @@ from repro.core.space_saving import (
     DeterministicSpaceSaving,
     SpaceSaving,
     UnbiasedSpaceSaving,
-    _z_value,
     sketch_arrays,
-    subset_sum_variance,
 )
+from repro.core.variance import _z_value, subset_sum_variance
 
 
 def _skewed_stream(seed=0, n=3000, n_items=100):
@@ -74,6 +73,34 @@ class TestQueries:
         assert set(pdf.columns) == {"item", "estimate"}
         items, counts = sketch_arrays(sk)
         assert counts.sum() == 6
+
+    def test_arrays_of_tuple_keys_are_1d(self):
+        sk = UnbiasedSpaceSaving.from_stream([(1, "a"), (2, "b"), (1, "a")], 5, seed=0)
+        items, counts = sketch_arrays(sk)
+        assert items.shape == counts.shape == (2,)
+        assert dict(zip(items.tolist(), counts.tolist())) == {(1, "a"): 2, (2, "b"): 1}
+        assert sk.to_pandas()["item"].tolist() == [(1, "a"), (2, "b")]
+
+    def test_mixed_int_and_str_keys_stay_apart(self):
+        sk = UnbiasedSpaceSaving.from_stream([7, "7", 7], 5, seed=0)
+        assert sk.subset_sum({7}) == (2.0, 1)
+        assert sk.result().estimate("7") == 1.0
+
+    def test_result_follows_updates(self):
+        sk = UnbiasedSpaceSaving.from_stream(list("aab"), 2, seed=0)
+        first = sk.result()
+        assert sk.result() is first
+        sk.update("a")
+        res = sk.result()
+        assert res.t == 4 and res.estimate("a") == 3.0
+        assert sk.subset_sum({"a"}) == (3.0, 1)
+        assert first.t == 3 and first.estimate("a") == 2.0
+
+    def test_result_matches_kernel(self):
+        sk = DeterministicSpaceSaving.from_stream(_skewed_stream(), 20, seed=10)
+        res = sk.result()
+        assert res.estimates_dict() == sk.estimates()
+        assert res.threshold == sk.n_min > 0 and res.t == sk.t
 
 
 class TestVarianceAndCI:

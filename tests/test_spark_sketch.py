@@ -87,6 +87,17 @@ class TestSketchDataFrame:
         assert res.t == 200.0
         assert all(isinstance(x, str) for x in res.items)
 
+    @pytest.mark.parametrize("method", ["priority", "pps"])
+    def test_zero_weight_items_beyond_cap(self, spark, method):
+        # 100 items, a third of them weighing 0 in total, against a
+        # spill cap of 8 * 5 = 40 items per partition
+        item = np.arange(200) % 100
+        pdf = pd.DataFrame({"k": item, "w": (item % 3 != 0).astype(float)})
+        df = spark.createDataFrame(pdf).repartition(2)
+        res = sketch_dataframe(df, "k", 5, weight_col="w", seed=6, method=method)
+        assert res.t == pdf["w"].sum()
+        assert len(res) <= 5 and (res.estimates > 0).all()
+
     def test_unsupported_type_rejected(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"k": [1.5, 2.5]}))
         with pytest.raises(TypeError):

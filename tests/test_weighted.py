@@ -193,3 +193,10 @@ class TestState:
         assert res.estimates_dict() == est
         assert res.threshold == sk._tau > 0
         assert min(est.values()) >= 0
+
+    def test_tuple_keys_result(self):
+        sk = WeightedUnbiasedSpaceSaving(4, seed=0)
+        sk.update_many([("a", 1), ("b", 2), ("a", 1)], [1.0, 2.0, 3.0])
+        res = sk.result()
+        assert res.items.shape == (2,)
+        assert res.estimates_dict() == {("a", 1): 4.0, ("b", 2): 2.0}
