@@ -9,27 +9,42 @@ subset-sum and frequent-item queries.
 Two per-partition strategies are provided:
 
 * :func:`sketch_dataframe` (default, production path) — within each
-  partition, Arrow batches are *exactly* aggregated into an item->count
-  map which is unbiasedly reduced (priority/PPS sampling, sec 5.3
-  multi-bin generalization) whenever it exceeds a spill cap. Exact
-  partial aggregation + unbiased reduction is itself an unbiased
-  reduction operation, and it vectorizes, unlike the row-at-a-time
-  update.
+  partition, rows are *exactly* aggregated into an item->count map
+  which is unbiasedly reduced (priority/PPS sampling, sec 5.3 multi-bin
+  generalization) whenever it exceeds a spill cap. Exact partial
+  aggregation + unbiased reduction is itself an unbiased reduction
+  operation, and it costs one hash-map update per row, unlike the
+  row-at-a-time Space Saving update.
 * :func:`sketch_dataframe_streamwise` — runs the literal Algorithm 1
   kernel over each partition's rows in order; used to validate that the
   production path matches the paper's process distributionally.
 
-Layering note (DESIGN.md): a JVM ``TypedImperativeAggregate`` is out of
-scope offline; ``mapInPandas`` + driver merge realizes the identical
-partial-aggregate/final-merge dataflow through Catalyst's Arrow scan.
+Layering note (DESIGN.md §2): :func:`sketch_dataframe` builds each
+partition's sketch in a JVM aggregate (``UssPartitionSketch.java``,
+next to this file), so no Python worker or Arrow batch is involved;
+Python decodes the per-partition records and runs the one final merge,
+:func:`_final_merge`. The Java source is compiled with ``javac`` on
+first use into ``.jvm_build/`` (keyed by a hash of the source) and
+loaded into the running session, so a JDK is required.
+:func:`sketch_dataframe_streamwise` keeps ``mapInPandas`` as the
+Algorithm-1 reference.
 """
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import weakref
+import zipfile
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
+from pyspark import SparkContext, TaskContext
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -41,14 +56,24 @@ from repro.core.result import CountSketchResult
 _NUMERIC = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType,
 )
+_SOURCE = Path(__file__).with_name("UssPartitionSketch.java")
+_BUILD_DIR = Path(__file__).with_name(".jvm_build")
+# the aggregate's runner, loaded once into each SparkContext's JVM
+_LOADED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_LOAD_LOCK = threading.Lock()
+# one partition record's header, as UssPartitionSketch.Buffer.close writes it
+_HEADER = np.dtype(
+    [("pid", ">i8"), ("n", ">i8"), ("rejected", ">i8"),
+     ("part_t", ">f8"), ("threshold", ">f8")]
+)
 
 
-def _item_spark_type(df: DataFrame, item_col: str) -> tuple[str, type]:
+def _item_spark_type(df: DataFrame, item_col: str) -> str:
     dt = df.schema[item_col].dataType
     if isinstance(dt, _NUMERIC):
-        return "long", np.int64
+        return "long"
     if isinstance(dt, T.StringType):
-        return "string", object
+        return "string"
     raise TypeError(
         f"item column {item_col!r} must be integral or string, got {dt}"
     )
@@ -61,6 +86,100 @@ def _partition_id() -> int:
 
 def _partition_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _partition_id()]))
+
+
+def _find_javac() -> str:
+    """``$JAVA_HOME/bin/javac``, else the first ``javac`` on ``PATH``."""
+    home = os.environ.get("JAVA_HOME")
+    javac = shutil.which("javac", path=str(Path(home, "bin"))) if home else None
+    javac = javac or shutil.which("javac")
+    if javac is None:
+        raise RuntimeError(
+            "sketch_dataframe compiles its JVM aggregate with javac, but none "
+            f"was found in $JAVA_HOME/bin (JAVA_HOME={home!r}) or on PATH; "
+            "install a JDK and set JAVA_HOME to it"
+        )
+    return javac
+
+
+def _build_jar(classpath: str) -> Path:
+    """The aggregate's jar, compiled against ``classpath`` unless it exists."""
+    key = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    jar = _BUILD_DIR / key / "uss-sketch.jar"
+    if jar.exists():
+        return jar
+    javac = _find_javac()
+    jar.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=jar.parent) as tmp:
+        proc = subprocess.run(
+            [javac, "-nowarn", "-cp", classpath, "-d", tmp, str(_SOURCE)],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(f"javac failed on {_SOURCE.name}:\n{proc.stderr}")
+        staged = Path(tmp, jar.name)
+        with zipfile.ZipFile(staged, "w") as zf:
+            for cls in sorted(Path(tmp).rglob("*.class")):
+                zf.write(cls, cls.relative_to(tmp).as_posix())
+        os.replace(staged, jar)  # atomic: a concurrent build finds a whole jar
+    return jar
+
+
+def _load_jar(sc: SparkContext, jar: Path):
+    """Ship ``jar`` to the executors and load the aggregate's runner from it."""
+    sc._jsc.addJar(str(jar))
+    jvm = sc._jvm
+    urls = sc._gateway.new_array(jvm.java.net.URL, 1)
+    urls[0] = jvm.java.io.File(str(jar)).toURI().toURL()
+    loader = jvm.java.net.URLClassLoader(
+        urls, jvm.java.lang.Thread.currentThread().getContextClassLoader()
+    )
+    runner = loader.loadClass("repro.core.UssPartitionSketch$Runner")
+    return runner.getConstructors()[0].newInstance(
+        sc._gateway.new_array(jvm.java.lang.Object, 0)
+    )
+
+
+def _runner(sc: SparkContext):
+    """``UssPartitionSketch.Runner`` in ``sc``'s JVM, built and loaded on
+    first use."""
+    with _LOAD_LOCK:
+        runner = _LOADED.get(sc)
+        if runner is None:
+            classpath = sc._jvm.java.lang.System.getProperty("java.class.path")
+            runner = _LOADED[sc] = _load_jar(sc, _build_jar(classpath))
+    return runner
+
+
+def _decode(blob: bytes, strings: bool) -> tuple[pd.DataFrame, int]:
+    """The aggregate's partition records as ``_final_merge``'s input, in
+    partition order, and the number of rejected weights."""
+    records, rejected, off = [], 0, 0
+    while off < len(blob):
+        head = np.frombuffer(blob, _HEADER, 1, off)[0]
+        off += _HEADER.itemsize
+        n = int(head["n"])
+        est = np.frombuffer(blob, ">f8", n, off).astype(np.float64)
+        off += 8 * n
+        if strings:
+            ends = off + 4 * n + np.cumsum(np.frombuffer(blob, ">i4", n, off))
+            starts = np.concatenate([[off + 4 * n], ends[:-1]])
+            items = [blob[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+            off = int(ends[-1]) if n else off
+        else:
+            items = np.frombuffer(blob, ">i8", n, off).astype(np.int64)
+            off += 8 * n
+        rejected += int(head["rejected"])
+        records.append((int(head["pid"]), pd.DataFrame({
+            "item": items, "estimate": est, "threshold": float(head["threshold"]),
+            "part_t": float(head["part_t"]), "pid": int(head["pid"]),
+        })))
+    # the shuffle delivers records in any order; the merge's draws must not
+    # depend on it
+    records.sort(key=lambda r: r[0])
+    if not records:
+        return pd.DataFrame(columns=["item", "estimate", "threshold", "part_t", "pid"]), 0
+    return pd.concat([f for _, f in records], ignore_index=True), rejected
 
 
 def sketch_dataframe(
@@ -80,59 +199,30 @@ def sketch_dataframe(
     per-row metrics (sec 5.3). ``partition_bins`` (default ``m``) bounds
     each partition's shipped sketch; ``spill_factor * partition_bins``
     bounds the in-memory exact map between reductions.
+
+    Input contract: the item column must be integral or string
+    (``TypeError`` otherwise); rows with a null item are excluded from
+    the estimates and from ``t``; a null, NaN, infinite or negative
+    weight raises ``ValueError``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if method not in ("priority", "pps"):
+        raise ValueError(f"unknown reduction method {method!r}")
     pb = partition_bins or m
-    cap = max(spill_factor * pb, pb + 1)
-    item_sql_type, _ = _item_spark_type(df, item_col)
-
-    cols = [F.col(item_col).alias("item")]
-    if weight_col is not None:
-        cols.append(F.col(weight_col).cast("double").alias("w"))
-    projected = df.select(*cols)
-    schema = (
-        f"item {item_sql_type}, estimate double, threshold double, part_t double, pid int"
+    cap = min(max(spill_factor * pb, pb + 1), 2**31 - 1)
+    strings = _item_spark_type(df, item_col) == "string"
+    spark = df.sparkSession
+    jdf = _runner(spark.sparkContext).sketch(
+        df._jdf, item_col, weight_col, strings, pb, cap, method == "pps",
+        (seed + 2**63) % 2**64 - 2**63,  # wrapped into a Java long
     )
-
-    def build_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rng = _partition_seed(seed)
-        acc: dict = {}
-
-        def spill(target: int) -> float:
-            items = np.asarray(list(acc.keys()))
-            vals = np.asarray(list(acc.values()), dtype=np.float64)
-            red = reduce_counts(items, vals, target, rng, method=method)
-            acc.clear()
-            acc.update(zip(red.items.tolist(), red.estimates.tolist()))
-            return red.threshold
-
-        threshold = 0.0
-        t_part = 0.0
-        for pdf in batches:
-            if weight_col is None:
-                agg = pdf["item"].value_counts()
-            else:
-                agg = pdf.groupby("item", sort=False)["w"].sum()
-            t_part += float(agg.to_numpy().sum())
-            get = acc.get
-            for x, c in zip(agg.index.tolist(), agg.to_numpy().tolist()):
-                acc[x] = get(x, 0.0) + c
-            if len(acc) > cap:
-                threshold = max(threshold, spill(pb))
-        if len(acc) > pb:
-            threshold = max(threshold, spill(pb))
-        yield pd.DataFrame(
-            {
-                "item": list(acc.keys()),
-                "estimate": list(acc.values()),
-                "threshold": threshold,
-                "part_t": t_part,
-                "pid": _partition_id(),
-            }
+    parts, rejected = _decode(bytes(DataFrame(jdf, spark).collect()[0][0]), strings)
+    if rejected:
+        raise ValueError(
+            f"weight_col {weight_col!r} holds {rejected} null, NaN, infinite "
+            "or negative weights; weights must be finite and non-negative"
         )
-
-    parts = projected.mapInPandas(build_partition, schema=schema).toPandas()
     return _final_merge(parts, m, seed, method)
 
 
@@ -147,7 +237,7 @@ def sketch_dataframe_streamwise(
 ) -> CountSketchResult:
     """Literal Algorithm 1 per partition, then the unbiased merge."""
     pb = partition_bins or m
-    item_sql_type, _ = _item_spark_type(df, item_col)
+    item_sql_type = _item_spark_type(df, item_col)
     schema = (
         f"item {item_sql_type}, estimate double, threshold double, part_t double, pid int"
     )

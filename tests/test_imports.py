@@ -42,6 +42,15 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     assert not any(errors.values()), {c: e for c, e in errors.items() if e}
 
 
+def test_spark_sketch_imports_without_a_jvm():
+    # the JVM aggregate is compiled and loaded on first use, not on import
+    code = (
+        "import repro.core.spark_sketch as s; from pyspark import SparkContext; "
+        "assert SparkContext._gateway is None and not s._LOADED"
+    )
+    assert _import_first(code) == ""
+
+
 def test_job_tables_cover_every_table():
     tables = runpy.run_path(str(JOB))["TABLES"]
     assert set(tables) == set(scales.BENCH) == set(scales.TEST)

@@ -1,15 +1,25 @@
 """Spark DataFrame sketch operator tests (distributed dataflow)."""
+import itertools
+import shutil
+import subprocess
+import sys
+import time
+import types
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import spark_sketch
 from repro.core.spark_sketch import (
     exact_counts,
     sketch_dataframe,
     sketch_dataframe_streamwise,
 )
 from repro.oracle import assert_equivalent
+from repro.sampling.pps import thresholded_pps_probs
 from repro.synth_data import lineitem
 
 
@@ -157,3 +167,180 @@ class TestEmptyAndEdge:
         res = sketch_dataframe(df, "k", 20, seed=0)
         assert res.t == 100.0
         assert res.estimate(0) == 10.0
+
+
+class TestInputContract:
+    """What ``sketch_dataframe`` does with each kind of bad input."""
+
+    def test_null_items_excluded(self, spark):
+        df = spark.createDataFrame(
+            [(1, 2.0), (None, 5.0), (2, 1.0), (None, 7.0), (1, 1.0)] * 20,
+            "k long, w double",
+        ).repartition(3)
+        res = sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
+        assert res.t == 80.0
+        assert res.estimates_dict() == {1: 60.0, 2: 20.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), None])
+    def test_nan_weight_rejected(self, spark, bad):
+        df = spark.createDataFrame(
+            [(i % 7, 1.0) for i in range(50)] + [(3, bad)], "k long, w double"
+        ).repartition(2)
+        with pytest.raises(ValueError, match="weight_col 'w'"):
+            sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
+
+    @pytest.mark.parametrize("method", ["priority", "pps"])
+    def test_negative_weight_rejected(self, spark, method):
+        # enough items that the partitions spill, which is where a negative
+        # weight used to fail inside priority sampling
+        rows = [(i % 100, 1.0) for i in range(400)] + [(5, -1.0)]
+        df = spark.createDataFrame(rows, "k long, w double").repartition(2)
+        with pytest.raises(ValueError, match="weight_col 'w'"):
+            sketch_dataframe(df, "k", 5, weight_col="w", seed=0, method=method)
+
+    def test_double_items_rejected_before_any_job(self, spark, monkeypatch):
+        df = spark.createDataFrame(pd.DataFrame({"x": [1.5, 2.5]}))
+
+        def no_jvm(sc):
+            raise AssertionError("the aggregate was loaded")
+
+        monkeypatch.setattr(spark_sketch, "_runner", no_jvm)
+        with pytest.raises(TypeError, match="'x'"):
+            sketch_dataframe(df, "x", 5)
+
+    def test_non_ascii_string_items(self, spark):
+        keys = ["é", "日本", "a", "ß" * 3, ""]
+        df = spark.createDataFrame(
+            pd.DataFrame({"k": [keys[i % 5] for i in range(100)]})
+        ).repartition(3)
+        res = sketch_dataframe(df, "k", 10, seed=0)
+        assert res.estimates_dict() == {k: 20.0 for k in keys}
+
+
+class TestBuild:
+    """Compiling and loading the JVM aggregate."""
+
+    def test_missing_javac_names_java_home(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(spark_sketch, "_BUILD_DIR", tmp_path / "build")
+        monkeypatch.setattr(shutil, "which", lambda *a, **k: None)
+        monkeypatch.setenv("JAVA_HOME", str(tmp_path))
+        with pytest.raises(RuntimeError, match="JAVA_HOME"):
+            spark_sketch._build_jar("")
+
+    def test_second_call_does_not_rebuild_or_reload(self, spark, monkeypatch):
+        df = spark.createDataFrame(pd.DataFrame({"k": np.arange(30) % 4}))
+        first = sketch_dataframe(df, "k", 10, seed=0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the aggregate was built or loaded again")
+
+        monkeypatch.setattr(spark_sketch, "_build_jar", fail)
+        monkeypatch.setattr(spark_sketch, "_load_jar", fail)
+        assert sketch_dataframe(df, "k", 10, seed=0).estimates_dict() == (
+            first.estimates_dict()
+        )
+
+    def test_concurrent_first_use_loads_once(self, monkeypatch):
+        class FakeContext:  # weakly referenceable, as a SparkContext is
+            _jvm = types.SimpleNamespace(java=types.SimpleNamespace(lang=types.SimpleNamespace(
+                System=types.SimpleNamespace(getProperty=lambda key: ""))))
+
+        sc = FakeContext()
+        loads = []
+
+        def load(sc, jar):
+            time.sleep(0.01)  # widen the window between check and store
+            loads.append(jar)
+            return object()
+
+        monkeypatch.setattr(spark_sketch, "_build_jar", lambda classpath: "jar")
+        monkeypatch.setattr(spark_sketch, "_load_jar", load)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                runners = list(pool.map(lambda _: spark_sketch._runner(sc), range(64)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(loads) == 1
+        assert all(r is runners[0] for r in runners)
+
+    def test_built_jar_is_reused(self, spark, monkeypatch):
+        classpath = spark._jvm.java.lang.System.getProperty("java.class.path")
+        jar = spark_sketch._build_jar(classpath)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("javac ran again")
+
+        monkeypatch.setattr(subprocess, "run", fail)
+        assert spark_sketch._build_jar(classpath) == jar
+
+
+@pytest.fixture(scope="module")
+def jvm_sketch(spark):
+    """``UssPartitionSketch``'s static methods through ``spark._jvm``.
+
+    py4j finds classes through the calling JVM thread's context class
+    loader, so it is pointed at the aggregate's loader while these tests run.
+    """
+    runner = spark_sketch._runner(spark.sparkContext)
+    thread = spark._jvm.java.lang.Thread.currentThread()
+    before = thread.getContextClassLoader()
+    thread.setContextClassLoader(runner.getClass().getClassLoader())
+    try:
+        yield spark._jvm.repro.core.UssPartitionSketch
+    finally:
+        thread.setContextClassLoader(before)
+
+
+COUNTS = np.array([1.0, 2.0, 0.0, 3.0, 5.0, 8.0, 13.0, 0.0, 0.5, 40.0, 7.0, 2.5])
+REPS = 20_000
+
+
+def _reduce_repeatedly(jvm_sketch, counts, m, method, seed=11):
+    """``REPS`` Java reductions: per rep, each item's estimate and the threshold."""
+    blob = jvm_sketch.reduceRepeatedly(
+        counts.astype(">f8").tobytes(), m, method == "pps", seed, REPS
+    )
+    return np.frombuffer(bytes(blob), ">f8").reshape(REPS, len(counts) + 1)
+
+
+class TestJvmReduction:
+    """Monte-Carlo checks of the Java spill reduction, without a Spark job."""
+
+    @pytest.mark.parametrize("method", ["priority", "pps"])
+    def test_mean_estimate_matches_count(self, jvm_sketch, method):
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, method)[:, :-1]
+        assert ((est > 0).sum(axis=1) <= 5).all()
+        se = est.std(axis=0, ddof=1) / np.sqrt(REPS)
+        assert (np.abs(est.mean(axis=0) - COUNTS) <= 5 * se + 1e-9).all()
+
+    def test_pps_inclusion_matches_thresholded_probs(self, jvm_sketch):
+        m = 5
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, m, "pps")[:, :-1]
+        pi = thresholded_pps_probs(COUNTS, m)
+        freq = (est > 0).mean(axis=0)
+        assert (np.abs(freq - pi) <= 5 * np.sqrt(pi * (1 - pi) / REPS) + 1e-12).all()
+
+    def test_pps_keeps_total(self, jvm_sketch):
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, "pps")[:, :-1]
+        np.testing.assert_allclose(est.sum(axis=1), COUNTS.sum(), rtol=1e-9)
+
+    @pytest.mark.parametrize("method", ["priority", "pps"])
+    def test_zero_counts_never_kept(self, jvm_sketch, method):
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, method)[:, :-1]
+        assert (est[:, COUNTS == 0] == 0).all()
+        # fewer positive counts than bins: every positive one is kept whole
+        few = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        est = _reduce_repeatedly(jvm_sketch, few, 3, method)
+        assert (est[:, :-1] == few).all() and (est[:, -1] == 0).all()
+
+    def test_partition_seeds_distinct_and_not_linear(self, jvm_sketch):
+        seeds = {
+            (s, p): jvm_sketch.partitionSeed(s, p)
+            for s, p in itertools.product(range(64), range(16))
+        }
+        assert len(set(seeds.values())) == len(seeds)
+        # a linear mix a*seed + b*pid steps by the same amount every time
+        steps = {seeds[s + 1, p] - seeds[s, p] for s in range(63) for p in range(16)}
+        assert len(steps) > 1
