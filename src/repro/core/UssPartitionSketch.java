@@ -32,8 +32,8 @@ import scala.Tuple2;
  * <p>Each partition sums its rows exactly into an item -> weight map. When the
  * map holds more than {@code cap} items it is reduced to {@code partitionBins}
  * by the same unbiased reduction as {@code merge.reduce_counts} (priority
- * sampling or PPS; Theorem 2), and once more when the partition closes, which
- * is when Spark serializes its buffer. {@code merge} only concatenates the
+ * sampling; Theorem 2), and once more when the partition closes, which is when
+ * Spark serializes its buffer. {@code merge} only concatenates the
  * closed partitions' records and {@code finish} returns them as one blob;
  * Python decodes them and runs the one final merge, {@code _final_merge}.
  *
@@ -49,13 +49,11 @@ public final class UssPartitionSketch
 
   private final int partitionBins;
   private final int cap;
-  private final boolean pps;
   private final long seed;
 
-  public UssPartitionSketch(int partitionBins, int cap, boolean pps, long seed) {
+  public UssPartitionSketch(int partitionBins, int cap, long seed) {
     this.partitionBins = partitionBins;
     this.cap = cap;
-    this.pps = pps;
     this.seed = seed;
   }
 
@@ -73,13 +71,13 @@ public final class UssPartitionSketch
      */
     @SuppressWarnings({"unchecked", "rawtypes"})
     public Dataset<Row> sketch(Dataset<Row> df, String itemCol, String weightCol, boolean strings,
-        int partitionBins, int cap, boolean pps, long seed) {
+        int partitionBins, int cap, long seed) {
       Column item = strings ? functions.col(itemCol) : functions.col(itemCol).cast("long");
       Column weight = weightCol == null
           ? functions.lit(1.0) : functions.col(weightCol).cast("double");
       Encoder key = strings ? Encoders.STRING() : Encoders.LONG();
       Encoder row = Encoders.tuple(key, Encoders.DOUBLE());
-      Column agg = functions.udaf(new UssPartitionSketch(partitionBins, cap, pps, seed), row)
+      Column agg = functions.udaf(new UssPartitionSketch(partitionBins, cap, seed), row)
           .apply(item, weight);
       return df.agg(agg);
     }
@@ -87,7 +85,7 @@ public final class UssPartitionSketch
 
   @Override
   public Buffer zero() {
-    return new Buffer(partitionBins, cap, pps, seed);
+    return new Buffer(partitionBins, cap, seed);
   }
 
   @Override
@@ -128,7 +126,6 @@ public final class UssPartitionSketch
   public static final class Buffer implements Externalizable {
     private int bins;
     private int cap;
-    private boolean pps;
     private long seed;
     private HashMap<Object, Double> acc;
     private SplittableRandom rng;
@@ -141,10 +138,9 @@ public final class UssPartitionSketch
     /** A closed buffer, as deserialized. */
     public Buffer() {}
 
-    Buffer(int bins, int cap, boolean pps, long seed) {
+    Buffer(int bins, int cap, long seed) {
       this.bins = bins;
       this.cap = cap;
-      this.pps = pps;
       this.seed = seed;
     }
 
@@ -177,7 +173,7 @@ public final class UssPartitionSketch
         items[i] = e.getKey();
         counts[i++] = e.getValue();
       }
-      double[] est = reduce(counts, bins, pps, rng);
+      double[] est = reduce(counts, bins, rng);
       threshold = Math.max(threshold, est[n]);
       acc.clear();
       for (i = 0; i < n; i++) {
@@ -260,25 +256,16 @@ public final class UssPartitionSketch
   /**
    * Unbiasedly reduces {@code counts} to at most {@code m} positive entries, as
    * {@code merge.reduce_counts}: priority sampling with estimates
-   * {@code max(c, tau)}, or a fixed-size PPS sample with estimates {@code c / pi}.
-   * Returns n + 1 values: each input's estimate (0 when dropped; zero counts are
-   * never kept) and the threshold.
+   * {@code max(c, tau)}. Returns n + 1 values: each input's estimate (0 when
+   * dropped; zero counts are never kept) and the threshold {@code tau}.
    */
-  public static double[] reduce(double[] counts, int m, boolean pps, SplittableRandom rng) {
+  public static double[] reduce(double[] counts, int m, SplittableRandom rng) {
     int n = counts.length;
     double[] out = new double[n + 1];
     if (n <= m) {
       System.arraycopy(counts, 0, out, 0, n);
-    } else if (pps) {
-      ppsReduce(counts, m, rng, out);
-    } else {
-      priorityReduce(counts, m, rng, out);
+      return out;
     }
-    return out;
-  }
-
-  private static void priorityReduce(double[] counts, int m, SplittableRandom rng, double[] out) {
-    int n = counts.length;
     double[] q = new double[n];
     double[] sorted = new double[n];
     int nnz = 0;
@@ -290,7 +277,7 @@ public final class UssPartitionSketch
     }
     if (nnz <= m) {
       System.arraycopy(counts, 0, out, 0, n);
-      return;
+      return out;
     }
     Arrays.sort(sorted, 0, nnz);
     // tau is the (m+1)-th largest priority; the m larger ones are kept, and
@@ -310,107 +297,7 @@ public final class UssPartitionSketch
       }
     }
     out[n] = tau;
-  }
-
-  private static void ppsReduce(double[] counts, int m, SplittableRandom rng, double[] out) {
-    int n = counts.length;
-    double[] pi = ppsProbs(counts, m);
-    boolean[] keep = new boolean[n];
-    // Ordered pivotal method from the last unit to the first, as
-    // pps.splitting_pps_sample; its k = n - 1 closed form draws from the same
-    // (unique) design, so it is not repeated here.
-    final double eps = 1e-12;
-    for (int i = 0; i < n; i++) {
-      keep[i] = pi[i] >= 1 - eps;
-    }
-    int carry = -1;
-    double a = 0.0;
-    for (int j = n - 1; j >= 0; j--) {
-      double b = pi[j];
-      if (keep[j] || !(b > eps)) {
-        continue;
-      }
-      if (carry < 0) {
-        carry = j;
-        a = b;
-        continue;
-      }
-      double u = rng.nextDouble();
-      double s = a + b;
-      if (s <= 1.0) {
-        if (u * s < b) {
-          carry = j;
-        }
-        a = s;
-        if (a >= 1 - eps) {
-          keep[carry] = true;
-          carry = -1;
-        }
-      } else {
-        if (u * (2 - s) < 1 - b) {
-          keep[carry] = true;
-          carry = j;
-        } else {
-          keep[j] = true;
-        }
-        a = s - 1.0;
-        if (a <= eps) {
-          carry = -1;
-        }
-      }
-    }
-    if (carry >= 0 && rng.nextDouble() < a) {
-      keep[carry] = true;
-    }
-    for (int i = 0; i < n; i++) {
-      if (keep[i]) {
-        out[i] = counts[i] / pi[i];
-      }
-      if (pi[i] > 0.0 && pi[i] < 1.0) {
-        out[n] = Math.max(out[n], counts[i] / pi[i]);
-      }
-    }
-  }
-
-  /** {@code pps.thresholded_pps_probs}: {@code min(1, alpha w)} summing to k. */
-  static double[] ppsProbs(double[] w, int k) {
-    int n = w.length;
-    double[] pi = new double[n];
-    if (k >= n) {
-      Arrays.fill(pi, 1.0);
-      return pi;
-    }
-    Integer[] order = new Integer[n];
-    for (int i = 0; i < n; i++) {
-      order[i] = i;
-    }
-    Arrays.sort(order, (x, y) -> Double.compare(w[x], w[y]));
-    double[] asc = new double[n];
-    double[] cum = new double[n];
-    for (int i = 0; i < n; i++) {
-      asc[i] = w[order[i]];
-      cum[i] = (i > 0 ? cum[i - 1] : 0.0) + asc[i];
-    }
-    if (asc[n - k - 1] <= 0.0) {
-      for (int i = 0; i < n; i++) {
-        pi[i] = w[i] > 0.0 ? 1.0 : 0.0;
-      }
-      return pi;
-    }
-    int j = 0;
-    for (int i = 1; i <= k; i++) {
-      if (asc[n - k + i - 1] * i >= cum[n - k + i - 1]) {
-        j++;
-      }
-    }
-    double scale = cum[n - 1 - j] / (k - j);
-    for (int i = 0; i < n; i++) {
-      pi[i] = Math.min(w[i] / scale, 1.0);
-    }
-    for (int r = n - j; r < n; r++) {
-      pi[order[r]] = 1.0;
-    }
-    return pi;
+    return out;
   }
 
   /**
@@ -418,14 +305,14 @@ public final class UssPartitionSketch
    * each rep's n + 1 outputs of {@link #reduce} as big-endian doubles: the
    * reduction's Monte-Carlo tests call this through py4j in one round trip.
    */
-  public static byte[] reduceRepeatedly(byte[] counts, int m, boolean pps, long seed, int reps) {
+  public static byte[] reduceRepeatedly(byte[] counts, int m, long seed, int reps) {
     DoubleBuffer in = ByteBuffer.wrap(counts).asDoubleBuffer();
     double[] c = new double[in.remaining()];
     in.get(c);
     SplittableRandom rng = new SplittableRandom(seed);
     ByteBuffer out = ByteBuffer.allocate(reps * (c.length + 1) * Double.BYTES);
     for (int r = 0; r < reps; r++) {
-      for (double v : reduce(c, m, pps, rng)) {
+      for (double v : reduce(c, m, rng)) {
         out.putDouble(v);
       }
     }

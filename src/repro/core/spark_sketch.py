@@ -10,11 +10,11 @@ Two per-partition strategies are provided:
 
 * :func:`sketch_dataframe` (default, production path) — within each
   partition, rows are *exactly* aggregated into an item->count map
-  which is unbiasedly reduced (priority/PPS sampling, sec 5.3 multi-bin
-  generalization) whenever it exceeds a spill cap. Exact partial
-  aggregation + unbiased reduction is itself an unbiased reduction
-  operation, and it costs one hash-map update per row, unlike the
-  row-at-a-time Space Saving update.
+  which is unbiasedly reduced by priority sampling (the sec 5.3
+  multi-bin generalization) whenever it exceeds a spill cap. Exact
+  partial aggregation + unbiased reduction is itself an unbiased
+  reduction operation, and it costs one hash-map update per row, unlike
+  the row-at-a-time Space Saving update.
 * :func:`sketch_dataframe_streamwise` — runs the literal Algorithm 1
   kernel over each partition's rows in order; used to validate that the
   production path matches the paper's process distributionally.
@@ -23,9 +23,11 @@ Layering note (DESIGN.md §2): :func:`sketch_dataframe` builds each
 partition's sketch in a JVM aggregate (``UssPartitionSketch.java``,
 next to this file), so no Python worker or Arrow batch is involved;
 Python decodes the per-partition records and runs the one final merge,
-:func:`_final_merge`. The Java source is compiled with ``javac`` on
-first use into ``.jvm_build/`` (keyed by a hash of the source) and
-loaded into the running session, so a JDK is required.
+:func:`_final_merge`, which reports its result by the same merge rule
+as :func:`~repro.core.merge.merge_unbiased`. The Java source is compiled
+with ``javac`` on first use into ``.jvm_build/`` (keyed by a hash of the
+source; a new build deletes the jars of older sources) and loaded into
+the running session, so a JDK is required.
 :func:`sketch_dataframe_streamwise` keeps ``mapInPandas`` as the
 Algorithm-1 reference.
 """
@@ -50,7 +52,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.kernel import SpaceSavingKernel
-from repro.core.merge import reduce_counts
+from repro.core.merge import merged_result, reduce_counts
 from repro.core.result import CountSketchResult
 
 _NUMERIC = (
@@ -103,14 +105,19 @@ def _find_javac() -> str:
 
 
 def _build_jar(classpath: str) -> Path:
-    """The aggregate's jar, compiled against ``classpath`` unless it exists."""
+    """The aggregate's jar, compiled against ``classpath`` unless it exists.
+
+    A build deletes the jars of every other source version; a failed one
+    leaves no key directory behind.
+    """
     key = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
     jar = _BUILD_DIR / key / "uss-sketch.jar"
     if jar.exists():
         return jar
     javac = _find_javac()
-    jar.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=jar.parent) as tmp:
+    _BUILD_DIR.mkdir(parents=True, exist_ok=True)
+    # dot-prefixed, so that a concurrent build's cleanup passes it by
+    with tempfile.TemporaryDirectory(dir=_BUILD_DIR, prefix=".tmp-") as tmp:
         proc = subprocess.run(
             [javac, "-nowarn", "-cp", classpath, "-d", tmp, str(_SOURCE)],
             capture_output=True, text=True,
@@ -121,7 +128,11 @@ def _build_jar(classpath: str) -> Path:
         with zipfile.ZipFile(staged, "w") as zf:
             for cls in sorted(Path(tmp).rglob("*.class")):
                 zf.write(cls, cls.relative_to(tmp).as_posix())
+        jar.parent.mkdir(exist_ok=True)
         os.replace(staged, jar)  # atomic: a concurrent build finds a whole jar
+    for old in _BUILD_DIR.iterdir():
+        if old != jar.parent and not old.name.startswith("."):
+            shutil.rmtree(old, ignore_errors=True)
     return jar
 
 
@@ -191,7 +202,6 @@ def sketch_dataframe(
     seed: int = 0,
     partition_bins: int | None = None,
     spill_factor: int = 8,
-    method: str = "priority",
 ) -> CountSketchResult:
     """Build an m-bin unbiased count sketch of ``df`` grouped by ``item_col``.
 
@@ -207,14 +217,12 @@ def sketch_dataframe(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if method not in ("priority", "pps"):
-        raise ValueError(f"unknown reduction method {method!r}")
     pb = partition_bins or m
     cap = min(max(spill_factor * pb, pb + 1), 2**31 - 1)
     strings = _item_spark_type(df, item_col) == "string"
     spark = df.sparkSession
     jdf = _runner(spark.sparkContext).sketch(
-        df._jdf, item_col, weight_col, strings, pb, cap, method == "pps",
+        df._jdf, item_col, weight_col, strings, pb, cap,
         (seed + 2**63) % 2**64 - 2**63,  # wrapped into a Java long
     )
     parts, rejected = _decode(bytes(DataFrame(jdf, spark).collect()[0][0]), strings)
@@ -223,7 +231,7 @@ def sketch_dataframe(
             f"weight_col {weight_col!r} holds {rejected} null, NaN, infinite "
             "or negative weights; weights must be finite and non-negative"
         )
-    return _final_merge(parts, m, seed, method)
+    return _final_merge(parts, m, seed)
 
 
 def sketch_dataframe_streamwise(
@@ -233,7 +241,6 @@ def sketch_dataframe_streamwise(
     *,
     seed: int = 0,
     partition_bins: int | None = None,
-    method: str = "priority",
 ) -> CountSketchResult:
     """Literal Algorithm 1 per partition, then the unbiased merge."""
     pb = partition_bins or m
@@ -263,30 +270,26 @@ def sketch_dataframe_streamwise(
     parts = df.select(F.col(item_col).alias("item")).mapInPandas(
         build_partition, schema=schema
     ).toPandas()
-    return _final_merge(parts, m, seed, method)
+    return _final_merge(parts, m, seed)
 
 
-def _final_merge(
-    parts: pd.DataFrame, m: int, seed: int, method: str
-) -> CountSketchResult:
-    """Exact by-item union of partition sketches + unbiased reduction.
-
-    The reported ``threshold`` is the max of the final reduction
-    threshold and every partition threshold — a conservative
-    ``N_min``-analogue for the eq. 5 variance estimator.
+def _final_merge(parts: pd.DataFrame, m: int, seed: int) -> CountSketchResult:
+    """Exact by-item union of partition sketches + unbiased reduction,
+    reported by the merge rule (:func:`~repro.core.merge.merged_result`):
+    the largest of the final and every partition threshold, and the
+    partitions' total mass.
     """
     if parts.empty:
         return CountSketchResult(
             np.asarray([]), np.asarray([], dtype=np.float64), 0.0, 0.0
         )
-    total = float(parts.groupby("pid")["part_t"].first().sum())
+    heads = parts.groupby("pid")[["threshold", "part_t"]].first()
     merged = parts.groupby("item", sort=False)["estimate"].sum()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1 << 20]))
-    red = reduce_counts(
-        merged.index.to_numpy(), merged.to_numpy(), m, rng, method=method
+    red = reduce_counts(merged.index.to_numpy(), merged.to_numpy(), m, rng)
+    return merged_result(
+        red, heads["threshold"].to_numpy(), heads["part_t"].to_numpy()
     )
-    thr = max(red.threshold, float(parts["threshold"].max()))
-    return CountSketchResult(red.items, red.estimates, thr, total)
 
 
 def exact_counts(

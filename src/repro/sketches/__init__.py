@@ -1,8 +1,4 @@
-"""Related frequent-item / disaggregated-sum sketches (paper sec 5).
+"""Related frequent-item sketches (paper sec 5.2).
 
 misra_gries     Misra-Gries, isomorphic to Deterministic Space Saving
-lossy_counting  simplified Lossy Counting (fixed decrement schedule)
-sample_and_hold adaptive sample-and-hold with the unbiased geometric
-                adjustment described in sec 5.4
-countmin        CountMin counting sketch (prior art for known filters)
 """

@@ -1,0 +1,63 @@
+"""The names ``ussbench --trace 1`` patches exist and are restored.
+
+A traced benchmark run wraps repo functions by name (``spark_sketch._final_merge``,
+``merge.priority_sample``, ``weighted.splitting_pps_sample``, ...). A rename would
+otherwise only show as a ``KeyError`` in a traced run; here every workload's
+``patch`` runs against a real tracer, without a Spark session.
+"""
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pandas as pd
+import pytest
+
+USSBENCH = Path(__file__).resolve().parents[1] / "ussbench"
+WORKLOADS = [
+    ("wl_spark_lineitem", "SparkLineitem"),
+    ("wl_stream_kernel", "StreamKernel"),
+    ("wl_weighted_decay", "WeightedDecay"),
+]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(USSBENCH))
+    return importlib.import_module
+
+
+@pytest.mark.parametrize("module, cls", WORKLOADS)
+def test_patch_then_unpatch_restores_originals(bench, module, cls):
+    tracer = bench("tracing").Tracer()
+    workload = object.__new__(getattr(bench(module), cls))  # no set-up, no Spark
+    workload.patch(tracer)
+    patched = list(tracer._patches)
+    assert patched
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is not original
+    tracer.unpatch()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original
+
+
+def test_traced_final_merge_reaches_the_driver_reduction(bench):
+    from repro.core import spark_sketch
+
+    tracer = bench("tracing").Tracer()
+    object.__new__(bench("wl_spark_lineitem").SparkLineitem).patch(tracer)
+    parts = pd.DataFrame({
+        "item": np.arange(40), "estimate": np.arange(1.0, 41), "threshold": 0.0,
+        "part_t": 820.0, "pid": 0,
+    })
+    tracer.begin_op(0)
+    try:
+        res = spark_sketch._final_merge(parts, 5, 0)
+    finally:
+        tracer.end_op()
+        tracer.unpatch()
+    assert len(res) == 5 and res.t == 820.0
+    calls = {name: agg[0] for name, agg in tracer.per_op[0].items()}
+    assert calls == {
+        "spark_sketch.final_merge": 1, "merge.reduce_counts": 1, "priority.sample": 1,
+    }
+    assert tracer.counters[0]["merge.rows_in"] == 40

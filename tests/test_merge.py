@@ -1,12 +1,15 @@
 """Merge operation tests (sec 5.5, Theorem 2)."""
 import math
 import random
+from collections import Counter
 
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core import spark_sketch
 from repro.core.decay import ForwardDecaySpaceSaving
-from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts
+from repro.core.merge import merge_unbiased, reduce_counts
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
@@ -22,24 +25,18 @@ class TestReduceCounts:
         res = reduce_counts(items, counts, 5, np.random.default_rng(0))
         assert res.threshold == 0.0 and (res.estimates == counts).all()
 
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_size_bound(self, method):
+    def test_size_bound(self):
         g = np.random.default_rng(1)
-        res = reduce_counts(
-            np.arange(50), np.arange(1.0, 51), 10, g, method=method
-        )
+        res = reduce_counts(np.arange(50), np.arange(1.0, 51), 10, g)
         assert len(res) <= 10
 
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_unbiased_per_item(self, method):
+    def test_unbiased_per_item(self):
         items = np.arange(6)
         counts = np.asarray([1.0, 2, 3, 4, 5, 50])
         reps = 6000
         acc = np.zeros(6)
         for r in range(reps):
-            res = reduce_counts(
-                items, counts, 3, np.random.default_rng(r), method=method
-            )
+            res = reduce_counts(items, counts, 3, np.random.default_rng(r))
             for it, est in zip(res.items, res.estimates):
                 acc[int(it)] += est
         means = acc / reps
@@ -55,25 +52,6 @@ class TestReduceCounts:
     def test_priority_all_zero_beyond_m(self):
         res = reduce_counts(np.arange(5), np.zeros(5), 3, np.random.default_rng(0))
         assert len(res) == 0 and res.t == 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            reduce_counts(
-                np.arange(2), np.ones(2), 1, np.random.default_rng(0), method="x"
-            )
-
-    @pytest.mark.parametrize(
-        "counts",
-        [np.arange(1.0, 51), np.r_[np.zeros(5), np.geomspace(0.1, 1e6, 45)]],
-    )
-    def test_pps_conserves_total(self, counts):
-        for r in range(50):
-            res = reduce_counts(
-                np.arange(len(counts)), counts, 10, np.random.default_rng(r),
-                method="pps",
-            )
-            assert np.isfinite(res.threshold)
-            assert np.isclose(res.estimates.sum(), counts.sum(), rtol=1e-9, atol=0)
 
     def test_t_preserved(self):
         g = np.random.default_rng(2)
@@ -169,30 +147,48 @@ class TestMergeUnbiased:
         assert all(isinstance(x, tuple) for x in res.estimates_dict())
 
 
-class TestMergeMisraGries:
-    def test_size_bound_and_soft_threshold(self):
-        maps = [
-            {f"a{i}": float(i + 1) for i in range(8)},
-            {f"b{i}": float(i + 1) for i in range(8)},
-        ]
-        m = 5
-        merged = merge_misra_gries(maps, m)
-        assert len(merged) <= m
-        combined = {}
-        for mp in maps:
-            for k, v in mp.items():
-                combined[k] = combined.get(k, 0) + v
-        # each counter underestimates by exactly the (m+1)-th largest
-        thr = sorted(combined.values(), reverse=True)[m]
-        for k, v in merged.items():
-            assert v == combined[k] - thr
+class TestMergeRule:
+    """A merge reports the largest threshold of its reduction and its
+    inputs, and the inputs' total mass."""
 
-    def test_exact_when_few(self):
-        merged = merge_misra_gries([{"a": 1.0}, {"b": 2.0}], 5)
-        assert merged == {"a": 1.0, "b": 2.0}
+    def test_unreduced_union_keeps_inputs_threshold(self):
+        rng = random.Random(0)
+        a = _sketch([rng.randrange(500) for _ in range(12_000)], 50, 0)
+        b = _sketch([rng.randrange(500) for _ in range(9_000)], 50, 1)
+        assert a.n_min != b.n_min
+        # 100 bins hold both 50-bin sketches, so nothing is reduced
+        res = merge_unbiased([a, b], 100, rng=np.random.default_rng(0))
+        union = Counter(a.result().estimates_dict()) + Counter(b.result().estimates_dict())
+        assert res.estimates_dict() == union
+        assert res.threshold == max(a.n_min, b.n_min)
+        assert res.t == 21_000
+        est, var, lo, hi = res.subset_sum_ci(set(range(250)))
+        assert var > 0 and hi - lo > 0
 
-    def test_biased_downward(self):
-        maps = [{f"x{i}": 2.0 for i in range(10)}]
-        merged = merge_misra_gries(maps, 4)
-        combined_total = 20.0
-        assert sum(merged.values()) < combined_total
+    def test_t_sums_inputs_t_not_estimates(self):
+        counts = np.arange(1.0, 41)
+        r1 = reduce_counts(np.arange(40), counts, 5, np.random.default_rng(0))
+        r2 = reduce_counts(np.arange(40, 80), counts, 5, np.random.default_rng(1))
+        est_sum = r1.estimates.sum() + r2.estimates.sum()
+        assert est_sum != r1.t + r2.t
+        res = merge_unbiased([r1, r2], 10, rng=np.random.default_rng(2))
+        assert res.t == r1.t + r2.t == 2 * counts.sum()
+        assert res.threshold == max(r1.threshold, r2.threshold)
+        reduced = merge_unbiased([r1, r2], 4, rng=np.random.default_rng(2))
+        assert reduced.t == r1.t + r2.t
+        assert reduced.threshold >= max(r1.threshold, r2.threshold)
+
+    def test_final_merge_follows_the_same_rule(self):
+        r1 = reduce_counts(np.arange(40), np.arange(1.0, 41), 5, np.random.default_rng(0))
+        r2 = reduce_counts(np.arange(30, 70), np.arange(41.0, 81), 5, np.random.default_rng(1))
+        parts = pd.concat([
+            pd.DataFrame({
+                "item": r.items, "estimate": r.estimates, "threshold": r.threshold,
+                "part_t": r.t, "pid": pid,
+            })
+            for pid, r in enumerate((r1, r2))
+        ], ignore_index=True)
+        final = spark_sketch._final_merge(parts, 10, seed=0)
+        merged = merge_unbiased([r1, r2], 10, rng=np.random.default_rng(0))
+        assert final.estimates_dict() == merged.estimates_dict()
+        assert (final.threshold, final.t) == (merged.threshold, merged.t)

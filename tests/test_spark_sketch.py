@@ -19,7 +19,6 @@ from repro.core.spark_sketch import (
     sketch_dataframe_streamwise,
 )
 from repro.oracle import assert_equivalent
-from repro.sampling.pps import thresholded_pps_probs
 from repro.synth_data import lineitem
 
 
@@ -97,14 +96,13 @@ class TestSketchDataFrame:
         assert res.t == 200.0
         assert all(isinstance(x, str) for x in res.items)
 
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_zero_weight_items_beyond_cap(self, spark, method):
+    def test_zero_weight_items_beyond_cap(self, spark):
         # 100 items, a third of them weighing 0 in total, against a
         # spill cap of 8 * 5 = 40 items per partition
         item = np.arange(200) % 100
         pdf = pd.DataFrame({"k": item, "w": (item % 3 != 0).astype(float)})
         df = spark.createDataFrame(pdf).repartition(2)
-        res = sketch_dataframe(df, "k", 5, weight_col="w", seed=6, method=method)
+        res = sketch_dataframe(df, "k", 5, weight_col="w", seed=6)
         assert res.t == pdf["w"].sum()
         assert len(res) <= 5 and (res.estimates > 0).all()
 
@@ -117,11 +115,6 @@ class TestSketchDataFrame:
         a = sketch_dataframe(li, "l_partkey", 50, seed=7)
         b = sketch_dataframe(li, "l_partkey", 50, seed=7)
         assert a.estimates_dict() == b.estimates_dict()
-
-    def test_pps_method(self, spark, li, truth):
-        res = sketch_dataframe(li, "l_partkey", 100, seed=8, method="pps")
-        assert len(res) <= 100
-        assert res.t == truth.sum()
 
     def test_unbiased_over_seeds(self, spark, li, truth):
         """Mean estimate over sketch seeds approaches the true subset sum."""
@@ -189,14 +182,13 @@ class TestInputContract:
         with pytest.raises(ValueError, match="weight_col 'w'"):
             sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
 
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_negative_weight_rejected(self, spark, method):
+    def test_negative_weight_rejected(self, spark):
         # enough items that the partitions spill, which is where a negative
         # weight used to fail inside priority sampling
         rows = [(i % 100, 1.0) for i in range(400)] + [(5, -1.0)]
         df = spark.createDataFrame(rows, "k long, w double").repartition(2)
         with pytest.raises(ValueError, match="weight_col 'w'"):
-            sketch_dataframe(df, "k", 5, weight_col="w", seed=0, method=method)
+            sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
 
     def test_double_items_rejected_before_any_job(self, spark, monkeypatch):
         df = spark.createDataFrame(pd.DataFrame({"x": [1.5, 2.5]}))
@@ -265,6 +257,29 @@ class TestBuild:
         assert len(loads) == 1
         assert all(r is runners[0] for r in runners)
 
+    def test_build_deletes_other_versions(self, spark, monkeypatch, tmp_path):
+        build = tmp_path / "build"
+        for old in ("0123456789abcdef", "fedcba9876543210"):
+            (build / old).mkdir(parents=True)
+            (build / old / "uss-sketch.jar").write_bytes(b"old")
+        (build / "0011223344556677").mkdir()  # left empty by an old failed build
+        monkeypatch.setattr(spark_sketch, "_BUILD_DIR", build)
+        classpath = spark._jvm.java.lang.System.getProperty("java.class.path")
+        jar = spark_sketch._build_jar(classpath)
+        assert jar.is_file() and jar.parent.parent == build
+        assert list(build.iterdir()) == [jar.parent]
+        assert list(jar.parent.iterdir()) == [jar]
+
+    def test_failed_compile_leaves_no_directory(self, monkeypatch, tmp_path):
+        source = tmp_path / "UssPartitionSketch.java"
+        source.write_text("class UssPartitionSketch {")
+        build = tmp_path / "build"
+        monkeypatch.setattr(spark_sketch, "_SOURCE", source)
+        monkeypatch.setattr(spark_sketch, "_BUILD_DIR", build)
+        with pytest.raises(RuntimeError, match="javac failed"):
+            spark_sketch._build_jar("")
+        assert list(build.iterdir()) == []
+
     def test_built_jar_is_reused(self, spark, monkeypatch):
         classpath = spark._jvm.java.lang.System.getProperty("java.class.path")
         jar = spark_sketch._build_jar(classpath)
@@ -297,42 +312,27 @@ COUNTS = np.array([1.0, 2.0, 0.0, 3.0, 5.0, 8.0, 13.0, 0.0, 0.5, 40.0, 7.0, 2.5]
 REPS = 20_000
 
 
-def _reduce_repeatedly(jvm_sketch, counts, m, method, seed=11):
+def _reduce_repeatedly(jvm_sketch, counts, m, seed=11):
     """``REPS`` Java reductions: per rep, each item's estimate and the threshold."""
-    blob = jvm_sketch.reduceRepeatedly(
-        counts.astype(">f8").tobytes(), m, method == "pps", seed, REPS
-    )
+    blob = jvm_sketch.reduceRepeatedly(counts.astype(">f8").tobytes(), m, seed, REPS)
     return np.frombuffer(bytes(blob), ">f8").reshape(REPS, len(counts) + 1)
 
 
 class TestJvmReduction:
     """Monte-Carlo checks of the Java spill reduction, without a Spark job."""
 
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_mean_estimate_matches_count(self, jvm_sketch, method):
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, method)[:, :-1]
+    def test_mean_estimate_matches_count(self, jvm_sketch):
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5)[:, :-1]
         assert ((est > 0).sum(axis=1) <= 5).all()
         se = est.std(axis=0, ddof=1) / np.sqrt(REPS)
         assert (np.abs(est.mean(axis=0) - COUNTS) <= 5 * se + 1e-9).all()
 
-    def test_pps_inclusion_matches_thresholded_probs(self, jvm_sketch):
-        m = 5
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, m, "pps")[:, :-1]
-        pi = thresholded_pps_probs(COUNTS, m)
-        freq = (est > 0).mean(axis=0)
-        assert (np.abs(freq - pi) <= 5 * np.sqrt(pi * (1 - pi) / REPS) + 1e-12).all()
-
-    def test_pps_keeps_total(self, jvm_sketch):
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, "pps")[:, :-1]
-        np.testing.assert_allclose(est.sum(axis=1), COUNTS.sum(), rtol=1e-9)
-
-    @pytest.mark.parametrize("method", ["priority", "pps"])
-    def test_zero_counts_never_kept(self, jvm_sketch, method):
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5, method)[:, :-1]
+    def test_zero_counts_never_kept(self, jvm_sketch):
+        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5)[:, :-1]
         assert (est[:, COUNTS == 0] == 0).all()
         # fewer positive counts than bins: every positive one is kept whole
         few = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        est = _reduce_repeatedly(jvm_sketch, few, 3, method)
+        est = _reduce_repeatedly(jvm_sketch, few, 3)
         assert (est[:, :-1] == few).all() and (est[:, -1] == 0).all()
 
     def test_partition_seeds_distinct_and_not_linear(self, jvm_sketch):
