@@ -12,16 +12,32 @@ total: the sum of the estimates varies around ``t``.
 :func:`merged_result` is the one merge rule, shared with the Spark
 operator's final merge: the merged sketch reports the largest threshold
 of its reduction and of its inputs, and the inputs' total mass.
+
+The biased Misra-Gries merge (Agarwal et al. 2013) is kept for
+comparison: it soft-thresholds the combined counts by the (m+1)-th
+largest, preserving the deterministic error bound but biasing sums
+downward (paper Figure 1 discussion).
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.result import CountSketchResult, item_array
 from repro.sampling.priority import priority_sample
+
+
+def _sum_by_item(pairs: Iterable[tuple[Iterable, Iterable]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``(items, counts)`` pairs by item, in first-seen item order."""
+    acc: dict = defaultdict(float)
+    for items, counts in pairs:
+        for x, c in zip(items, counts):
+            acc[x] += c
+    items = item_array(list(acc.keys()))
+    counts = np.asarray(list(acc.values()), dtype=np.float64)
+    return items, counts
 
 
 def reduce_counts(
@@ -86,14 +102,26 @@ def merge_unbiased(
     """
     rng = rng if rng is not None else np.random.default_rng()
     results = [_as_result(s) for s in sketches]
-    acc: dict = defaultdict(float)
-    for r in results:
-        for x, c in zip(r.items.tolist(), r.estimates.tolist()):
-            acc[x] += c
-    items = item_array(list(acc.keys()))
-    counts = np.asarray(list(acc.values()), dtype=np.float64)
+    items, counts = _sum_by_item(
+        (r.items.tolist(), r.estimates.tolist()) for r in results
+    )
     return merged_result(
         reduce_counts(items, counts, m, rng),
         [r.threshold for r in results],
         [r.t for r in results],
     )
+
+
+def merge_misra_gries(counts_maps: Iterable[Mapping], m: int) -> dict:
+    """Biased Misra-Gries merge (Agarwal et al. 2013).
+
+    Sums counters by item, then soft-thresholds by the (m+1)-th largest
+    combined counter so at most ``m`` non-zero counters remain. Each
+    merged counter is an underestimate by at most ``n_tot / m``.
+    """
+    items, counts = _sum_by_item((cm.keys(), cm.values()) for cm in counts_maps)
+    if len(items) <= m:
+        return dict(zip(items.tolist(), counts.tolist()))
+    thr = float(np.partition(counts, -(m + 1))[-(m + 1)])
+    keep = counts > thr
+    return dict(zip(items[keep].tolist(), (counts[keep] - thr).tolist()))

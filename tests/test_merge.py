@@ -9,13 +9,17 @@ import pytest
 
 from repro.core import spark_sketch
 from repro.core.decay import ForwardDecaySpaceSaving
-from repro.core.merge import merge_unbiased, reduce_counts
+from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
 
 def _sketch(stream, m, seed):
     return UnbiasedSpaceSaving.from_stream(stream, m, seed=seed)
+
+
+# Priority sampling is the one reduction; the id names it in the test ids.
+BY_REDUCTION = pytest.mark.parametrize("reduce", [reduce_counts], ids=["priority"])
 
 
 class TestReduceCounts:
@@ -25,18 +29,20 @@ class TestReduceCounts:
         res = reduce_counts(items, counts, 5, np.random.default_rng(0))
         assert res.threshold == 0.0 and (res.estimates == counts).all()
 
-    def test_size_bound(self):
+    @BY_REDUCTION
+    def test_size_bound(self, reduce):
         g = np.random.default_rng(1)
-        res = reduce_counts(np.arange(50), np.arange(1.0, 51), 10, g)
+        res = reduce(np.arange(50), np.arange(1.0, 51), 10, g)
         assert len(res) <= 10
 
-    def test_unbiased_per_item(self):
+    @BY_REDUCTION
+    def test_unbiased_per_item(self, reduce):
         items = np.arange(6)
         counts = np.asarray([1.0, 2, 3, 4, 5, 50])
         reps = 6000
         acc = np.zeros(6)
         for r in range(reps):
-            res = reduce_counts(items, counts, 3, np.random.default_rng(r))
+            res = reduce(items, counts, 3, np.random.default_rng(r))
             for it, est in zip(res.items, res.estimates):
                 acc[int(it)] += est
         means = acc / reps
@@ -145,6 +151,35 @@ class TestMergeUnbiased:
         res = merge_unbiased([s, s], 3, rng=np.random.default_rng(0))
         assert len(res) == 3
         assert all(isinstance(x, tuple) for x in res.estimates_dict())
+
+
+class TestMergeMisraGries:
+    def test_size_bound_and_soft_threshold(self):
+        maps = [
+            {f"a{i}": float(i + 1) for i in range(8)},
+            {f"b{i}": float(i + 1) for i in range(8)},
+        ]
+        m = 5
+        merged = merge_misra_gries(maps, m)
+        assert len(merged) <= m
+        combined = {}
+        for mp in maps:
+            for k, v in mp.items():
+                combined[k] = combined.get(k, 0) + v
+        # each counter underestimates by exactly the (m+1)-th largest
+        thr = sorted(combined.values(), reverse=True)[m]
+        for k, v in merged.items():
+            assert v == combined[k] - thr
+
+    def test_exact_when_few(self):
+        merged = merge_misra_gries([{"a": 1.0}, {"b": 2.0}], 5)
+        assert merged == {"a": 1.0, "b": 2.0}
+
+    def test_biased_downward(self):
+        maps = [{f"x{i}": 2.0 for i in range(10)}]
+        merged = merge_misra_gries(maps, 4)
+        combined_total = 20.0
+        assert sum(merged.values()) < combined_total
 
 
 class TestMergeRule:

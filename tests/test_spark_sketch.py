@@ -21,6 +21,9 @@ from repro.core.spark_sketch import (
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem
 
+# Priority sampling is the operator's one spill reduction; the id names it
+# in the test ids.
+BY_REDUCTION = pytest.mark.parametrize("sketch", [sketch_dataframe], ids=["priority"])
 
 @pytest.fixture(scope="module")
 def li(spark):
@@ -96,13 +99,14 @@ class TestSketchDataFrame:
         assert res.t == 200.0
         assert all(isinstance(x, str) for x in res.items)
 
-    def test_zero_weight_items_beyond_cap(self, spark):
+    @BY_REDUCTION
+    def test_zero_weight_items_beyond_cap(self, spark, sketch):
         # 100 items, a third of them weighing 0 in total, against a
         # spill cap of 8 * 5 = 40 items per partition
         item = np.arange(200) % 100
         pdf = pd.DataFrame({"k": item, "w": (item % 3 != 0).astype(float)})
         df = spark.createDataFrame(pdf).repartition(2)
-        res = sketch_dataframe(df, "k", 5, weight_col="w", seed=6)
+        res = sketch(df, "k", 5, weight_col="w", seed=6)
         assert res.t == pdf["w"].sum()
         assert len(res) <= 5 and (res.estimates > 0).all()
 
@@ -182,13 +186,14 @@ class TestInputContract:
         with pytest.raises(ValueError, match="weight_col 'w'"):
             sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
 
-    def test_negative_weight_rejected(self, spark):
+    @BY_REDUCTION
+    def test_negative_weight_rejected(self, spark, sketch):
         # enough items that the partitions spill, which is where a negative
         # weight used to fail inside priority sampling
         rows = [(i % 100, 1.0) for i in range(400)] + [(5, -1.0)]
         df = spark.createDataFrame(rows, "k long, w double").repartition(2)
         with pytest.raises(ValueError, match="weight_col 'w'"):
-            sketch_dataframe(df, "k", 5, weight_col="w", seed=0)
+            sketch(df, "k", 5, weight_col="w", seed=0)
 
     def test_double_items_rejected_before_any_job(self, spark, monkeypatch):
         df = spark.createDataFrame(pd.DataFrame({"x": [1.5, 2.5]}))
@@ -318,21 +323,28 @@ def _reduce_repeatedly(jvm_sketch, counts, m, seed=11):
     return np.frombuffer(bytes(blob), ">f8").reshape(REPS, len(counts) + 1)
 
 
+JVM_BY_REDUCTION = pytest.mark.parametrize(
+    "reduce", [_reduce_repeatedly], ids=["priority"]
+)
+
+
 class TestJvmReduction:
     """Monte-Carlo checks of the Java spill reduction, without a Spark job."""
 
-    def test_mean_estimate_matches_count(self, jvm_sketch):
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5)[:, :-1]
+    @JVM_BY_REDUCTION
+    def test_mean_estimate_matches_count(self, jvm_sketch, reduce):
+        est = reduce(jvm_sketch, COUNTS, 5)[:, :-1]
         assert ((est > 0).sum(axis=1) <= 5).all()
         se = est.std(axis=0, ddof=1) / np.sqrt(REPS)
         assert (np.abs(est.mean(axis=0) - COUNTS) <= 5 * se + 1e-9).all()
 
-    def test_zero_counts_never_kept(self, jvm_sketch):
-        est = _reduce_repeatedly(jvm_sketch, COUNTS, 5)[:, :-1]
+    @JVM_BY_REDUCTION
+    def test_zero_counts_never_kept(self, jvm_sketch, reduce):
+        est = reduce(jvm_sketch, COUNTS, 5)[:, :-1]
         assert (est[:, COUNTS == 0] == 0).all()
         # fewer positive counts than bins: every positive one is kept whole
         few = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        est = _reduce_repeatedly(jvm_sketch, few, 3)
+        est = reduce(jvm_sketch, few, 3)
         assert (est[:, :-1] == few).all() and (est[:, -1] == 0).all()
 
     def test_partition_seeds_distinct_and_not_linear(self, jvm_sketch):
