@@ -1,40 +1,47 @@
 """Micro-benchmarks of the sketch kernels themselves.
 
 Measures single-thread update throughput of the Unbiased / Deterministic
-Space Saving kernel (rows/s) and the Spark DataFrame operator's
-wall-clock on TPC-H-lite lineitem — the constant factors behind every
-table benchmark.
+Space Saving kernel and the Spark DataFrame operator's wall-clock on
+TPC-H-lite lineitem — the constant factors behind every table benchmark.
+The kernel runs on two streams: a hit-heavy permuted Weibull stream at
+m=200, where most rows increment a bin, and a miss-heavy stream of
+Criteo-like feature tuples at m=2000, where most rows displace a minimum
+bin. Each kernel test records ``extra_info["rows_per_s"]``.
+
+    pytest benchmarks/test_bench_kernel.py -k kernel_throughput --benchmark-json=BENCH_kernel.json
 """
 import numpy as np
+import pytest
 
 from repro.core.kernel import SpaceSavingKernel
 from repro.core.spark_sketch import sketch_dataframe
+from repro.streams.criteo import impressions_pdf, tuple_item_column
 from repro.streams.orders import permuted_stream
 from repro.streams.weibull import weibull_counts
 from repro.synth_data import lineitem
 
 _COUNTS = weibull_counts(1000, shape=0.3, target_total=200_000)
-_STREAM = permuted_stream(_COUNTS, np.random.default_rng(0)).tolist()
+_STREAMS = {
+    "hit": (200, permuted_stream(_COUNTS, np.random.default_rng(0)).tolist()),
+    "miss": (2000, tuple_item_column(impressions_pdf(50_000)).tolist()),
+}
 
 
-def test_kernel_unbiased_throughput(benchmark):
+@pytest.mark.parametrize("stream", ["hit", "miss"])
+@pytest.mark.parametrize("unbiased", [True, False], ids=["unbiased", "deterministic"])
+def test_kernel_throughput(benchmark, stream, unbiased):
+    m, rows = _STREAMS[stream]
+
     def run():
-        k = SpaceSavingKernel(200, unbiased=True, seed=1)
-        k.update_many(_STREAM)
+        k = SpaceSavingKernel(m, unbiased=unbiased, seed=1)
+        k.update_many(rows)
         return k
 
     k = benchmark(run)
-    assert k.total() == len(_STREAM)
-
-
-def test_kernel_deterministic_throughput(benchmark):
-    def run():
-        k = SpaceSavingKernel(200, unbiased=False, seed=1)
-        k.update_many(_STREAM)
-        return k
-
-    k = benchmark(run)
-    assert k.total() == len(_STREAM)
+    assert k.total() == len(rows)
+    benchmark.extra_info["rows"] = len(rows)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["rows_per_s"] = len(rows) / benchmark.stats.stats.median
 
 
 def test_spark_operator_lineitem(spark, benchmark):

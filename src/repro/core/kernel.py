@@ -1,15 +1,29 @@
-"""Stream-summary kernel for Space Saving sketches (Algorithm 1 of the paper).
+"""Space Saving kernel (Algorithm 1 of the paper).
 
 Implements the per-row update shared by Deterministic Space Saving
 (label-replacement probability ``p = 1``) and Unbiased Space Saving
 (``p = 1/(N_min + 1)``) with O(1) amortized cost per row.
 
-The classic stream-summary structure (Metwally et al. 2005) is realized
-as a *count-bucket* map: for each count value, a :class:`RandomBag` of
-the bins holding that count. This gives O(1) increments, O(1) uniform
-random choice among minimum-count bins (the tie-breaking randomization
-the paper introduces in section 6.1), and an always-current minimum
-count ``min_val``.
+Algorithm 1 needs only two things from its summary structure: the
+minimum count ``N_min`` and a uniformly random bin holding it (the
+tie-breaking randomization of section 6.1). So instead of the sorted
+stream-summary of Metwally et al. (2005), the kernel keeps a plain list
+of bin counts and one lazy *min set*: a :class:`RandomBag` of exactly
+the bins whose count is ``min_val``.
+
+* A hit increments the bin's count, and touches the min set only when
+  the bin was at ``min_val``: it leaves the set.
+* A miss draws a uniform bin from the min set, relabels it (always, or
+  with probability ``1/(N_min+1)``), sets its count to ``min_val + 1``
+  and removes it from the set.
+* When the set empties, every bin is above ``min_val``; one O(m) scan of
+  the counts finds the new minimum and refills the set. ``min_val``
+  never decreases and stays <= t/m, so all scans together cost at most
+  t + m and each row stays O(1) amortized.
+
+Until the m-th distinct item claims a bin there is no displacement, so
+the fill phase runs as its own loop without min tracking, and the first
+scan happens when the sketch becomes full.
 
 The update loop is deliberately a tight pure-Python loop: Space Saving
 updates are order-dependent, so the stream cannot be vectorized without
@@ -91,7 +105,7 @@ class SpaceSavingKernel:
 
     __slots__ = (
         "m", "unbiased", "rng", "bin_of", "item_of", "counts",
-        "buckets", "min_val", "t",
+        "min_set", "min_val", "t",
     )
 
     def __init__(self, m: int, *, unbiased: bool = True, seed: int | None = None):
@@ -103,27 +117,21 @@ class SpaceSavingKernel:
         self.bin_of: dict = {}        # item -> bin index
         self.item_of: list = []       # bin index -> item
         self.counts: list[int] = []   # bin index -> count
-        self.buckets: dict[int, RandomBag] = {}  # count -> bins at that count
-        self.min_val: int = 0         # min count over existing bins (0 if none)
+        self.min_set = RandomBag()    # bins whose count is min_val (once full)
+        self.min_val: int = 0         # min count over the bins (0 until full)
         self.t: int = 0               # rows processed
 
     # -- internal ----------------------------------------------------------
 
-    def _bucket_move(self, b: int, c: int) -> None:
-        """Move bin ``b`` from count-bucket ``c`` to ``c+1``; track min."""
-        buckets = self.buckets
-        bag = buckets[c]
-        bag.discard(b)
-        if not bag._items:
-            del buckets[c]
-            if c == self.min_val:
-                # all former minimum bins left; the incremented bin now
-                # sits at c+1 and every other bin was already >= c+1.
-                self.min_val = c + 1
-        nxt = buckets.get(c + 1)
-        if nxt is None:
-            nxt = buckets[c + 1] = RandomBag()
-        nxt.add(b)
+    def _rescan_min(self) -> int:
+        """Refill the empty min set with one O(m) scan of ``counts``."""
+        counts = self.counts
+        mv = self.min_val = min(counts)
+        add = self.min_set.add
+        for b, c in enumerate(counts):
+            if c == mv:
+                add(b)
+        return mv
 
     # -- public API --------------------------------------------------------
 
@@ -139,36 +147,46 @@ class SpaceSavingKernel:
         bin_of = self.bin_of
         item_of = self.item_of
         counts = self.counts
-        buckets = self.buckets
         m = self.m
+        t = self.t
+        rows = iter(items)
+
+        if len(item_of) < m:
+            # fill phase: nothing is displaced, so no minimum is tracked
+            for x in rows:
+                t += 1
+                b = bin_of.get(x)
+                if b is not None:
+                    counts[b] += 1
+                    continue
+                b = len(item_of)
+                item_of.append(x)
+                counts.append(1)
+                bin_of[x] = b
+                if b + 1 == m:
+                    self._rescan_min()
+                    break
+
+        # steady phase: the sketch is full, unless ``rows`` ran out above
+        mv = self.min_val
+        min_set = self.min_set
+        mins = min_set._items
+        discard = min_set.discard
+        rescan = self._rescan_min
         unbiased = self.unbiased
         rng = self.rng
         rnd = rng.random
-        bucket_move = self._bucket_move
-        t = self.t
-
-        for x in items:
+        randrange = rng.randrange
+        for x in rows:
             t += 1
             b = bin_of.get(x)
             if b is not None:
                 c = counts[b]
                 counts[b] = c + 1
-                bucket_move(b, c)
-            elif len(item_of) < m:
-                # fill phase: claim a fresh bin with count 1
-                b = len(item_of)
-                item_of.append(x)
-                counts.append(1)
-                bin_of[x] = b
-                bag = buckets.get(1)
-                if bag is None:
-                    bag = buckets[1] = RandomBag()
-                bag.add(b)
-                self.min_val = 1
+                if c != mv:
+                    continue
             else:
-                mv = self.min_val
-                bag = buckets[mv]
-                b = bag._items[rng.randrange(len(bag._items))]
+                b = mins[randrange(len(mins))]
                 # replace the label with probability p: always for the
                 # deterministic variant, 1/(N_min+1) for the unbiased one.
                 if (not unbiased) or rnd() * (mv + 1) < 1.0:
@@ -176,7 +194,10 @@ class SpaceSavingKernel:
                     bin_of[x] = b
                     item_of[b] = x
                 counts[b] = mv + 1
-                bucket_move(b, mv)
+            # b has left min_val
+            discard(b)
+            if not mins:
+                mv = rescan()
         self.t = t
 
     # -- queries -----------------------------------------------------------
@@ -184,7 +205,7 @@ class SpaceSavingKernel:
     @property
     def n_min(self) -> int:
         """Count of the smallest bin (0 while the sketch is not full)."""
-        return self.min_val if len(self.item_of) == self.m else 0
+        return self.min_val
 
     def estimates(self) -> dict:
         """item -> estimated count, for every item currently labelled."""

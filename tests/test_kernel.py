@@ -1,10 +1,13 @@
-"""Unit tests for the stream-summary kernel (Algorithm 1 mechanics)."""
+"""Unit tests for the Space Saving kernel (Algorithm 1 mechanics)."""
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core.exact import exact_state_distribution
 from repro.core.kernel import RandomBag, SpaceSavingKernel
+from tests.test_exact_unbiasedness import STREAMS
 
 
 class TestRandomBag:
@@ -140,15 +143,21 @@ class TestKernelBasics:
             if len(k.item_of) == k.m:
                 assert k.min_val == min(k.counts)
 
-    def test_counts_match_bucket_structure(self):
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("unbiased", [True, False])
+    def test_min_set_matches_counts(self, m, unbiased):
+        # once full, after every row the min set is exactly the bins at
+        # min_val, and min_val is the smallest count
         rng = random.Random(7)
-        k = SpaceSavingKernel(5, seed=0)
-        k.update_many(rng.randrange(50) for _ in range(1000))
-        rebuilt = {}
-        for c, bag in k.buckets.items():
-            for b in bag._items:
-                rebuilt[b] = c
-        assert rebuilt == {b: c for b, c in enumerate(k.counts)}
+        k = SpaceSavingKernel(m, unbiased=unbiased, seed=0)
+        for _ in range(1000):
+            k.update(rng.randrange(3 * m + 5))
+            if len(k.item_of) == k.m:
+                assert k.min_val == min(k.counts)
+                assert sorted(k.min_set) == [
+                    b for b, c in enumerate(k.counts) if c == k.min_val
+                ]
+                assert all(k.min_set[i] == b for b, i in k.min_set._pos.items())
 
     def test_single_bin(self):
         k = SpaceSavingKernel(1, unbiased=False, seed=0)
@@ -164,3 +173,53 @@ class TestKernelBasics:
         k.update_many(stream)
         true = stream.count(0)
         assert abs(k.estimate(0) - true) <= k.n_min
+
+    @pytest.mark.parametrize("unbiased", [True, False])
+    def test_chunked_update_many_matches_one_call(self, unbiased):
+        m = 4
+        rng = random.Random(9)
+        stream = [rng.randrange(12) for _ in range(400)]
+        whole = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        mins = []
+        for x in stream:
+            whole.update(x)
+            mins.append(whole.min_val)
+        distinct = list(dict.fromkeys(stream))
+        fill_end = stream.index(distinct[m - 1]) + 1  # row that fills the sketch
+        # a row that raises min_val: split just before and just after it
+        rise = next(i for i in range(fill_end + 1, len(stream)) if mins[i] > mins[i - 1])
+        splits = sorted({fill_end - 1, fill_end, rise, rise + 1, 150, 300})
+
+        chunked = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        for lo, hi in zip([0] + splits, splits + [len(stream)]):
+            chunked.update_many(stream[lo:hi])
+        one = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        one.update_many(stream)
+        for k in (chunked, whole):
+            assert k.item_of == one.item_of and k.counts == one.counts
+            assert k.bin_of == one.bin_of and k.t == one.t
+            assert k.min_val == one.min_val and list(k.min_set) == list(one.min_set)
+            assert k.rng.getstate() == one.rng.getstate()
+
+
+class TestKernelSamplesAlgorithm1:
+    """The kernel's final-state frequencies against exact enumeration."""
+
+    SEEDS = 20_000
+
+    @pytest.mark.parametrize("stream,m", STREAMS)
+    @pytest.mark.parametrize("unbiased", [True, False])
+    def test_state_frequencies_match_exact_distribution(self, stream, m, unbiased):
+        exact = {
+            frozenset(state): float(p)
+            for state, p in exact_state_distribution(stream, m, unbiased=unbiased).items()
+        }
+        seen = Counter()
+        for seed in range(self.SEEDS):
+            k = SpaceSavingKernel(m, unbiased=unbiased, seed=seed)
+            k.update_many(stream)
+            seen[frozenset(k.estimates().items())] += 1
+        assert set(seen) <= set(exact)
+        for state, p in exact.items():
+            se = (p * (1 - p) / self.SEEDS) ** 0.5
+            assert abs(seen[state] / self.SEEDS - p) <= 4.5 * se, (sorted(state), p)
