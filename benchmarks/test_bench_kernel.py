@@ -13,7 +13,7 @@ bin. Each kernel test records ``extra_info["rows_per_s"]``.
 import numpy as np
 import pytest
 
-from repro.core.kernel import SpaceSavingKernel
+from repro.core.space_saving import DeterministicSpaceSaving, UnbiasedSpaceSaving
 from repro.core.spark_sketch import sketch_dataframe
 from repro.streams.criteo import impressions_pdf, tuple_item_column
 from repro.streams.orders import permuted_stream
@@ -28,12 +28,15 @@ _STREAMS = {
 
 
 @pytest.mark.parametrize("stream", ["hit", "miss"])
-@pytest.mark.parametrize("unbiased", [True, False], ids=["unbiased", "deterministic"])
-def test_kernel_throughput(benchmark, stream, unbiased):
+@pytest.mark.parametrize(
+    "sketch", [UnbiasedSpaceSaving, DeterministicSpaceSaving],
+    ids=["unbiased", "deterministic"],
+)
+def test_kernel_throughput(benchmark, stream, sketch):
     m, rows = _STREAMS[stream]
 
     def run():
-        k = SpaceSavingKernel(m, unbiased=unbiased, seed=1)
+        k = sketch(m, seed=1)
         k.update_many(rows)
         return k
 

@@ -40,8 +40,8 @@ import scala.Tuple2;
  * <p>A record is big-endian: the header (long pid, long n, long rejected,
  * double t, double threshold), n estimates (double), then n items, each a long,
  * or, for string items, n UTF-8 byte lengths (int) followed by the bytes. Rows
- * with a null item are skipped; rows whose weight is null, NaN, infinite or
- * negative are skipped and counted as {@code rejected}, which
+ * with a null item or a zero weight are skipped; rows whose weight is null,
+ * NaN, infinite or negative are skipped and counted as {@code rejected}, which
  * {@code sketch_dataframe} turns into an error.
  */
 public final class UssPartitionSketch
@@ -156,6 +156,9 @@ public final class UssPartitionSketch
       if (w == null || !(w >= 0.0 && w < Double.POSITIVE_INFINITY)) {
         rejected++;
         return;
+      }
+      if (w == 0.0) {
+        return; // its estimate is 0 either way; a bin would inflate C_S
       }
       t += w;
       acc.merge(item, w, Double::sum);

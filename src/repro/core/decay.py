@@ -44,13 +44,13 @@ class ForwardDecaySpaceSaving:
         """Add a row for ``item`` stamped ``time`` (monotone non-decreasing)."""
         if time < self._last_time:
             raise ValueError("forward decay requires non-decreasing timestamps")
-        self._last_time = time
         a = self.rate * (time - self.landmark)
         if a > _MAX_EXPONENT:
             self._inner._scale(math.exp(-a))
             self.landmark = time
             a = 0.0
         self._inner.add(item, weight * math.exp(a))
+        self._last_time = time  # only an accepted row moves the clock
 
     def estimates(self, query_time: float | None = None) -> dict:
         """Decayed count estimates normalized to ``query_time``.

@@ -2,7 +2,11 @@
 
 Implements the per-row update shared by Deterministic Space Saving
 (label-replacement probability ``p = 1``) and Unbiased Space Saving
-(``p = 1/(N_min + 1)``) with O(1) amortized cost per row.
+(``p = 1/(N_min + 1)``) with O(1) amortized cost per row, and the
+per-item reads of the bins. The class attribute ``unbiased`` picks the
+variant. The sketches of :mod:`repro.core.space_saving` are subclasses
+that add the subset-sum and frequent-item queries, so a sketch is one
+object; ``DeterministicSpaceSaving`` sets ``unbiased = False``.
 
 Algorithm 1 needs only two things from its summary structure: the
 minimum count ``N_min`` and a uniformly random bin holding it (the
@@ -38,7 +42,7 @@ from typing import Hashable, Iterable
 
 class RandomBag:
     """A multiset-free bag of distinct keys with O(1) add / discard /
-    uniform random choice.
+    indexing, so ``bag[rng.randrange(len(bag))]`` is a uniform draw.
 
     Backed by a list plus a key -> position map; removal swap-pops the
     last element so all operations are constant time.
@@ -77,14 +81,6 @@ class RandomBag:
             items[i] = last
             pos[last] = i
 
-    def choice(self, rng: random.Random):
-        """Uniform random element (not removed)."""
-        return self._items[rng.randrange(len(self._items))]
-
-    def any(self):
-        """An arbitrary element (deterministic)."""
-        return self._items[-1]
-
 
 class SpaceSavingKernel:
     """State + update loop for an m-bin Space Saving sketch.
@@ -93,10 +89,6 @@ class SpaceSavingKernel:
     ----------
     m:
         Number of bins (counters) maintained.
-    unbiased:
-        ``True`` for Unbiased Space Saving (label replaced with
-        probability ``1/(N_min+1)``), ``False`` for the original
-        deterministic algorithm (always replaced).
     seed:
         Seed for the kernel's private :class:`random.Random`. The
         deterministic variant still consumes randomness for min-bin
@@ -104,15 +96,18 @@ class SpaceSavingKernel:
     """
 
     __slots__ = (
-        "m", "unbiased", "rng", "bin_of", "item_of", "counts",
-        "min_set", "min_val", "t",
+        "m", "rng", "bin_of", "item_of", "counts", "min_set", "min_val", "t",
     )
 
-    def __init__(self, m: int, *, unbiased: bool = True, seed: int | None = None):
+    #: label-replacement rule: ``True`` replaces the label with probability
+    #: ``1/(N_min+1)`` (Unbiased Space Saving); a subclass sets ``False``
+    #: to always replace it (the original deterministic algorithm)
+    unbiased: bool = True
+
+    def __init__(self, m: int, *, seed: int | None = None):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         self.m = m
-        self.unbiased = unbiased
         self.rng = random.Random(seed)
         self.bin_of: dict = {}        # item -> bin index
         self.item_of: list = []       # bin index -> item
@@ -201,6 +196,12 @@ class SpaceSavingKernel:
         self.t = t
 
     # -- queries -----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.item_of)
+
+    def __contains__(self, item: Hashable) -> bool:
+        return item in self.bin_of
 
     @property
     def n_min(self) -> int:

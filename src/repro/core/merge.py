@@ -20,24 +20,47 @@ downward (paper Figure 1 discussion).
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Mapping
 
 import numpy as np
+import pandas as pd
 
 from repro.core.result import CountSketchResult, item_array
 from repro.sampling.priority import priority_sample
 
 
-def _sum_by_item(pairs: Iterable[tuple[Iterable, Iterable]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``(items, counts)`` pairs by item, in first-seen item order."""
-    acc: dict = defaultdict(float)
-    for items, counts in pairs:
-        for x, c in zip(items, counts):
-            acc[x] += c
-    items = item_array(list(acc.keys()))
-    counts = np.asarray(list(acc.values()), dtype=np.float64)
-    return items, counts
+def sum_by_item(
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``(items, counts)`` array pairs by item, in first-seen item order.
+
+    One vectorized union: the inputs are concatenated, factorized and
+    summed by ``np.bincount``, which adds each item's counts in input
+    order, as a loop would. Tuple keys, and keys of differing dtype kinds,
+    are joined as objects, so that numpy never casts ints to strings or
+    floats, and objects are matched by Python equality.
+    """
+    pairs = [(items, counts) for items, counts in pairs if len(items)]
+    if not pairs:
+        return item_array([]), np.zeros(0)
+    keys = [items for items, _ in pairs]
+    if len({k.dtype.kind for k in keys}) > 1:
+        keys = [k.astype(object) for k in keys]
+    keys = np.concatenate(keys)
+    if keys.dtype == object:
+        # by Python equality: pd.factorize would turn a None key into NaN
+        index: dict = {}
+        codes = np.fromiter(
+            (index.setdefault(x, len(index)) for x in keys), np.intp, len(keys)
+        )
+        uniques = item_array(list(index))
+    else:
+        codes, uniques = pd.factorize(keys, use_na_sentinel=False)
+        uniques = uniques.astype(keys.dtype)  # strings come back as objects
+    sums = np.bincount(
+        codes, weights=np.concatenate([c for _, c in pairs]), minlength=len(uniques)
+    )
+    return uniques, sums
 
 
 def reduce_counts(
@@ -54,10 +77,11 @@ def reduce_counts(
     items = np.asarray(items)
     counts = np.asarray(counts, dtype=np.float64)
     total = float(counts.sum())
-    if len(items) <= m:
-        return CountSketchResult(items, counts.copy(), 0.0, total)
     nz = counts != 0
-    ps = priority_sample(items[nz], counts[nz], m, rng)
+    items, counts = items[nz], counts[nz]
+    if len(items) <= m:
+        return CountSketchResult(items, counts, 0.0, total)
+    ps = priority_sample(items, counts, m, rng)
     return CountSketchResult(ps.items, ps.estimates, ps.tau, total)
 
 
@@ -102,9 +126,7 @@ def merge_unbiased(
     """
     rng = rng if rng is not None else np.random.default_rng()
     results = [_as_result(s) for s in sketches]
-    items, counts = _sum_by_item(
-        (r.items.tolist(), r.estimates.tolist()) for r in results
-    )
+    items, counts = sum_by_item((r.items, r.estimates) for r in results)
     return merged_result(
         reduce_counts(items, counts, m, rng),
         [r.threshold for r in results],
@@ -119,7 +141,9 @@ def merge_misra_gries(counts_maps: Iterable[Mapping], m: int) -> dict:
     combined counter so at most ``m`` non-zero counters remain. Each
     merged counter is an underestimate by at most ``n_tot / m``.
     """
-    items, counts = _sum_by_item((cm.keys(), cm.values()) for cm in counts_maps)
+    items, counts = sum_by_item(
+        (r.items, r.estimates) for r in map(_as_result, counts_maps)
+    )
     if len(items) <= m:
         return dict(zip(items.tolist(), counts.tolist()))
     thr = float(np.partition(counts, -(m + 1))[-(m + 1)])

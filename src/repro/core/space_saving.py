@@ -15,11 +15,14 @@ Queries:
 * frequent items / heavy hitters;
 * the Misra-Gries view ``(N_i - N_min)_+`` (section 5.2 isomorphism).
 
-Per-item estimates and the Misra-Gries view read the kernel. The other
-queries live in :class:`~repro.core.result.CountSketchResult`, the one
-query type of every sketch: :meth:`SpaceSaving.result` is the sketch as
-a result with threshold ``N_min``, and the query methods here delegate
-to it.
+A sketch is one object: :class:`SpaceSaving` subclasses
+:class:`~repro.core.kernel.SpaceSavingKernel`, whose state, update loop
+and per-item reads (``estimate``, ``estimates``, ``n_min``, ``total``)
+it inherits, and whose class attribute ``unbiased`` picks the variant.
+The Misra-Gries view reads the bins. The other queries live in
+:class:`~repro.core.result.CountSketchResult`, the one query type of
+every sketch: :meth:`SpaceSaving.result` is the sketch as a result with
+threshold ``N_min``, and the query methods here delegate to it.
 """
 from __future__ import annotations
 
@@ -32,25 +35,14 @@ from repro.core.kernel import SpaceSavingKernel
 from repro.core.result import CountSketchResult, item_array
 
 
-class SpaceSaving:
-    """Common API over :class:`SpaceSavingKernel`; see module docstring."""
+class SpaceSaving(SpaceSavingKernel):
+    """The kernel plus its queries; see module docstring."""
 
-    #: subclasses fix this: label-replacement rule of Algorithm 1
-    unbiased: bool = True
+    __slots__ = ("_result",)
 
     def __init__(self, m: int, *, seed: int | None = None):
-        self._k = SpaceSavingKernel(m, unbiased=self.unbiased, seed=seed)
+        super().__init__(m, seed=seed)
         self._result: CountSketchResult | None = None
-
-    # -- ingestion ---------------------------------------------------------
-
-    def update(self, item: Hashable) -> None:
-        """Process a single row for ``item``."""
-        self._k.update(item)
-
-    def update_many(self, items: Iterable[Hashable]) -> None:
-        """Process rows in stream order."""
-        self._k.update_many(items)
 
     @classmethod
     def from_stream(
@@ -61,58 +53,20 @@ class SpaceSaving:
         s.update_many(items)
         return s
 
-    # -- basic accessors ---------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        """Number of bins."""
-        return self._k.m
-
-    @property
-    def t(self) -> int:
-        """Number of rows processed."""
-        return self._k.t
-
-    @property
-    def n_min(self) -> int:
-        """Minimum bin count (0 while the sketch is not yet full)."""
-        return self._k.n_min
-
-    def total(self) -> int:
-        """Sum of all bin counts. Equals ``t`` exactly (mass conservation)."""
-        return self._k.total()
-
-    def __len__(self) -> int:
-        return len(self._k.item_of)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._k.bin_of
-
-    # -- estimates ---------------------------------------------------------
-
-    def estimate(self, item: Hashable) -> int:
-        """Estimated count for ``item`` (0 when absent)."""
-        return self._k.estimate(item)
-
-    def estimates(self) -> dict:
-        """item -> estimated count for all stored items."""
-        return self._k.estimates()
-
     def result(self) -> CountSketchResult:
         """The sketch as a :class:`CountSketchResult` (threshold ``N_min``).
 
         Built once and reused until the next update moves ``t``; its
         arrays are read-only because every caller shares them.
         """
-        k = self._k
-        if self._result is None or self._result.t != k.t:
-            counts = k.counts
+        if self._result is None or self._result.t != self.t:
+            counts, bin_of = self.counts, self.bin_of
             est = np.fromiter(
-                (counts[b] for b in k.bin_of.values()), np.int64, len(k.bin_of)
+                (counts[b] for b in bin_of.values()), np.int64, len(bin_of)
             )
-            items = item_array(list(k.bin_of))
+            items = item_array(list(bin_of))
             items.flags.writeable = est.flags.writeable = False
-            self._result = CountSketchResult(items, est, k.n_min, k.t)
+            self._result = CountSketchResult(items, est, self.min_val, self.t)
         return self._result
 
     def to_pandas(self) -> pd.DataFrame:
@@ -130,10 +84,8 @@ class SpaceSaving:
         only by the additive ``N_min``; soft-thresholding recovers the
         Misra-Gries counters (zeros dropped).
         """
-        nm = self.n_min
-        return {
-            x: c - nm for x, c in self._k.estimates().items() if c - nm > 0
-        }
+        nm = self.min_val
+        return {x: c - nm for x, c in self.estimates().items() if c - nm > 0}
 
     # -- subset sums (the disaggregated subset sum problem) ----------------
 
@@ -156,17 +108,12 @@ class SpaceSaving:
 class UnbiasedSpaceSaving(SpaceSaving):
     """The paper's contribution: unbiased per-item count estimates."""
 
-    unbiased = True
+    __slots__ = ()
 
 
 class DeterministicSpaceSaving(SpaceSaving):
     """Original Space Saving (Metwally et al. 2005): biased but with the
     deterministic guarantee ``|N_hat_i - n_i| <= n_tot / m``."""
 
+    __slots__ = ()
     unbiased = False
-
-
-def sketch_arrays(sketch: SpaceSaving) -> tuple[np.ndarray, np.ndarray]:
-    """(items, counts) arrays for vectorized post-processing (read-only)."""
-    res = sketch.result()
-    return res.items, res.estimates

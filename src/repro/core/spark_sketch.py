@@ -51,9 +51,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.kernel import SpaceSavingKernel
-from repro.core.merge import merged_result, reduce_counts
+from repro.core.merge import merged_result, reduce_counts, sum_by_item
 from repro.core.result import CountSketchResult
+from repro.core.space_saving import UnbiasedSpaceSaving
 
 _NUMERIC = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType,
@@ -212,8 +212,8 @@ def sketch_dataframe(
 
     Input contract: the item column must be integral or string
     (``TypeError`` otherwise); rows with a null item are excluded from
-    the estimates and from ``t``; a null, NaN, infinite or negative
-    weight raises ``ValueError``.
+    the estimates and from ``t``; a zero-weight row adds no item; a null,
+    NaN, infinite or negative weight raises ``ValueError``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -251,18 +251,16 @@ def sketch_dataframe_streamwise(
 
     def build_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         rng = _partition_seed(seed)
-        kern = SpaceSavingKernel(
-            pb, unbiased=True, seed=int(rng.integers(2**63))
-        )
+        sk = UnbiasedSpaceSaving(pb, seed=int(rng.integers(2**63)))
         for pdf in batches:
-            kern.update_many(pdf["item"].tolist())
-        est = kern.estimates()
+            sk.update_many(pdf["item"].tolist())
+        est = sk.estimates()
         yield pd.DataFrame(
             {
                 "item": list(est.keys()),
                 "estimate": [float(c) for c in est.values()],
-                "threshold": float(kern.n_min),
-                "part_t": float(kern.t),
+                "threshold": float(sk.n_min),
+                "part_t": float(sk.t),
                 "pid": _partition_id(),
             }
         )
@@ -284,9 +282,9 @@ def _final_merge(parts: pd.DataFrame, m: int, seed: int) -> CountSketchResult:
             np.asarray([]), np.asarray([], dtype=np.float64), 0.0, 0.0
         )
     heads = parts.groupby("pid")[["threshold", "part_t"]].first()
-    merged = parts.groupby("item", sort=False)["estimate"].sum()
+    items, counts = sum_by_item([(parts["item"].to_numpy(), parts["estimate"].to_numpy())])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1 << 20]))
-    red = reduce_counts(merged.index.to_numpy(), merged.to_numpy(), m, rng)
+    red = reduce_counts(items, counts, m, rng)
     return merged_result(
         red, heads["threshold"].to_numpy(), heads["part_t"].to_numpy()
     )

@@ -29,13 +29,15 @@ absorbed at most once after it left the floor (by a hit), so a
 reduction costs O(log m) amortized instead of O(m).
 
 This class is the substrate for time-decayed aggregation
-(:mod:`repro.core.decay`) and for signed/real-valued updates.
+(:mod:`repro.core.decay`). Weights are real and non-negative: a null,
+negative, NaN or infinite weight raises ``ValueError``.
 """
 from __future__ import annotations
 
 import heapq
 import random
 from itertools import count
+from math import inf
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -67,8 +69,8 @@ class WeightedUnbiasedSpaceSaving:
 
     def add(self, item: Hashable, weight: float = 1.0) -> None:
         """Add ``weight`` mass for ``item`` (unbiased after reduction)."""
-        if weight < 0:
-            raise ValueError("use signed=True paths for negative weights")
+        if weight is None or not 0.0 <= weight < inf:
+            raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
         self._t += weight
         above = self._above
         if item in above:

@@ -40,6 +40,26 @@ def test_patch_then_unpatch_restores_originals(bench, module, cls):
         assert owner.__dict__[attr] is original
 
 
+def test_traced_stream_kernel_reaches_the_kernel_loop(bench):
+    # a sketch method that shadowed the kernel's update_many would leave a
+    # traced stream_kernel run with no kernel time
+    from repro.core.space_saving import UnbiasedSpaceSaving
+
+    tracer = bench("tracing").Tracer()
+    object.__new__(bench("wl_stream_kernel").StreamKernel).patch(tracer)
+    tracer.begin_op(0)
+    try:
+        sk = UnbiasedSpaceSaving(3, seed=0)
+        sk.update_many(list("abcabdae"))
+        est, _, lo, hi = sk.subset_sum_ci({"a"})
+    finally:
+        tracer.end_op()
+        tracer.unpatch()
+    assert sk.t == 8 and lo <= est <= hi
+    calls = {name: agg[0] for name, agg in tracer.per_op[0].items()}
+    assert calls == {"kernel.update_many": 1, "space_saving.subset_sum_ci": 1}
+
+
 def test_traced_final_merge_reaches_the_driver_reduction(bench):
     from repro.core import spark_sketch
 

@@ -18,6 +18,15 @@ class TestForwardDecay:
         with pytest.raises(ValueError):
             sk.add("b", 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_weight_rejected(self, bad):
+        sk = ForwardDecaySpaceSaving(5, rate=0.1, seed=0)
+        sk.add("a", 1.0)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sk.add("b", 2.0, bad)
+        assert sk.estimates() == pytest.approx({"a": 1.0})
+        sk.add("b", 1.5)  # the rejected row did not move the clock to 2.0
+
     def test_zero_rate_is_plain_counting(self):
         sk = ForwardDecaySpaceSaving(10, rate=0.0, seed=0)
         for t, x in enumerate(["a", "a", "b", "c", "a"]):

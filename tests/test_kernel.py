@@ -7,7 +7,13 @@ import pytest
 
 from repro.core.exact import exact_state_distribution
 from repro.core.kernel import RandomBag, SpaceSavingKernel
+from repro.core.space_saving import DeterministicSpaceSaving
 from tests.test_exact_unbiasedness import STREAMS
+
+
+def _kernel(m, unbiased, seed):
+    """A kernel of either variant; ``unbiased`` is a class attribute."""
+    return (SpaceSavingKernel if unbiased else DeterministicSpaceSaving)(m, seed=seed)
 
 
 class TestRandomBag:
@@ -34,12 +40,18 @@ class TestRandomBag:
         assert len(b) == 0 and "a" not in b
 
     def test_choice_uniform(self):
+        # a uniform draw indexes the bag, as the kernel and weighted.py do
         b = RandomBag()
-        for x in range(4):
+        for x in range(6):
             b.add(x)
+        for x in (1, 4):
+            b.discard(x)
+        b.add(6)
+        b.discard(0)
         rng = random.Random(0)
-        draws = [b.choice(rng) for _ in range(4000)]
-        for x in range(4):
+        draws = [b[rng.randrange(len(b))] for _ in range(4000)]
+        assert set(draws) == {2, 3, 5, 6}
+        for x in (2, 3, 5, 6):
             frac = draws.count(x) / 4000
             assert 0.2 < frac < 0.3  # 4-sigma band around 0.25
 
@@ -101,7 +113,7 @@ class TestKernelBasics:
 
     def test_deterministic_always_replaces_label(self):
         # p=1: new item always takes over the min bin
-        k = SpaceSavingKernel(2, unbiased=False, seed=0)
+        k = DeterministicSpaceSaving(2, seed=0)
         k.update_many(["a", "a", "b", "b", "c"])
         assert "c" in k.bin_of  # c must have displaced the min label
         assert k.estimate("c") == 3  # N_min+1 = 2+1
@@ -110,7 +122,7 @@ class TestKernelBasics:
         # with large counts the flip probability 1/(c+1) is small
         kept = 0
         for s in range(50):
-            k = SpaceSavingKernel(2, unbiased=True, seed=s)
+            k = SpaceSavingKernel(2, seed=s)
             k.update_many(["a"] * 50 + ["b"] * 50 + ["c"])
             if "c" not in k.bin_of:
                 kept += 1
@@ -149,7 +161,7 @@ class TestKernelBasics:
         # once full, after every row the min set is exactly the bins at
         # min_val, and min_val is the smallest count
         rng = random.Random(7)
-        k = SpaceSavingKernel(m, unbiased=unbiased, seed=0)
+        k = _kernel(m, unbiased, 0)
         for _ in range(1000):
             k.update(rng.randrange(3 * m + 5))
             if len(k.item_of) == k.m:
@@ -160,7 +172,7 @@ class TestKernelBasics:
                 assert all(k.min_set[i] == b for b, i in k.min_set._pos.items())
 
     def test_single_bin(self):
-        k = SpaceSavingKernel(1, unbiased=False, seed=0)
+        k = DeterministicSpaceSaving(1, seed=0)
         k.update_many(list("abcde"))
         assert k.total() == 5 and len(k.bin_of) == 1
         assert k.estimate("e") == 5  # det variant: last item holds all mass
@@ -179,7 +191,7 @@ class TestKernelBasics:
         m = 4
         rng = random.Random(9)
         stream = [rng.randrange(12) for _ in range(400)]
-        whole = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        whole = _kernel(m, unbiased, 3)
         mins = []
         for x in stream:
             whole.update(x)
@@ -190,10 +202,10 @@ class TestKernelBasics:
         rise = next(i for i in range(fill_end + 1, len(stream)) if mins[i] > mins[i - 1])
         splits = sorted({fill_end - 1, fill_end, rise, rise + 1, 150, 300})
 
-        chunked = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        chunked = _kernel(m, unbiased, 3)
         for lo, hi in zip([0] + splits, splits + [len(stream)]):
             chunked.update_many(stream[lo:hi])
-        one = SpaceSavingKernel(m, unbiased=unbiased, seed=3)
+        one = _kernel(m, unbiased, 3)
         one.update_many(stream)
         for k in (chunked, whole):
             assert k.item_of == one.item_of and k.counts == one.counts
@@ -216,7 +228,7 @@ class TestKernelSamplesAlgorithm1:
         }
         seen = Counter()
         for seed in range(self.SEEDS):
-            k = SpaceSavingKernel(m, unbiased=unbiased, seed=seed)
+            k = _kernel(m, unbiased, seed)
             k.update_many(stream)
             seen[frozenset(k.estimates().items())] += 1
         assert set(seen) <= set(exact)

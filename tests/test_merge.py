@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import spark_sketch
 from repro.core.decay import ForwardDecaySpaceSaving
-from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts
+from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts, sum_by_item
+from repro.core.result import item_array
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
@@ -55,6 +56,14 @@ class TestReduceCounts:
         assert len(res) == 3 and 0 not in res.items.tolist()
         assert res.t == 10.0
 
+    def test_zero_counts_dropped_below_m(self):
+        # m above the number of items: nothing is sampled, zeros still go
+        res = reduce_counts(
+            np.arange(5), [0, 1, 0, 3, 4], 10, np.random.default_rng(0)
+        )
+        assert res.items.tolist() == [1, 3, 4] and res.estimates.tolist() == [1, 3, 4]
+        assert res.threshold == 0.0 and res.t == 8.0
+
     def test_priority_all_zero_beyond_m(self):
         res = reduce_counts(np.arange(5), np.zeros(5), 3, np.random.default_rng(0))
         assert len(res) == 0 and res.t == 0.0
@@ -64,6 +73,43 @@ class TestReduceCounts:
         counts = np.arange(1.0, 21)
         res = reduce_counts(np.arange(20), counts, 5, g)
         assert res.t == counts.sum()
+
+
+class TestSumByItem:
+    @staticmethod
+    def _loop(pairs):
+        """The reference union: a dict summing counts in input order."""
+        acc: dict = {}
+        for items, counts in pairs:
+            for x, c in zip(items.tolist(), counts.tolist()):
+                acc[x] = acc.get(x, 0.0) + c
+        return list(acc), list(acc.values())
+
+    @pytest.mark.parametrize("keys", [
+        [[3, 1, 4], [1, 5, 9, 3]],
+        [["ab", "c"], ["abcd", "c", "e"]],
+        [[(1, "a"), (2, "b")], [(1, "a")]],
+        [[7, 8], ["7", 8]],
+        [[None, 1], [None, 2]],
+        [[], [5, 6], []],
+    ], ids=["ints", "strings", "tuples", "mixed", "none", "empty"])
+    def test_matches_a_dict_loop(self, keys):
+        g = np.random.default_rng(0)
+        pairs = [(item_array(k), g.random(len(k)) * 1e3) for k in keys]
+        items, counts = sum_by_item(pairs)
+        ref_items, ref_counts = self._loop(pairs)
+        assert items.shape == (len(ref_items),)
+        assert items.tolist() == ref_items and counts.tolist() == ref_counts
+
+    def test_bit_equal_to_a_dict_loop_on_many_partitions(self):
+        g = np.random.default_rng(1)
+        pairs = [
+            (g.choice(5000, 300, replace=False), g.random(300) * g.integers(1, 1000))
+            for _ in range(16)
+        ]
+        items, counts = sum_by_item(pairs)
+        assert (items.tolist(), counts.tolist()) == self._loop(pairs)
+        assert items.dtype == np.int64
 
 
 class TestMergeUnbiased:

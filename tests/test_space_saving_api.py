@@ -9,7 +9,6 @@ from repro.core.space_saving import (
     DeterministicSpaceSaving,
     SpaceSaving,
     UnbiasedSpaceSaving,
-    sketch_arrays,
 )
 from repro.core.variance import _z_value, subset_sum_variance
 
@@ -71,14 +70,14 @@ class TestQueries:
         sk = UnbiasedSpaceSaving.from_stream(list("aabbbb"), 5, seed=0)
         pdf = sk.to_pandas()
         assert set(pdf.columns) == {"item", "estimate"}
-        items, counts = sketch_arrays(sk)
-        assert counts.sum() == 6
+        res = sk.result()
+        assert res.estimates.sum() == 6
 
     def test_arrays_of_tuple_keys_are_1d(self):
         sk = UnbiasedSpaceSaving.from_stream([(1, "a"), (2, "b"), (1, "a")], 5, seed=0)
-        items, counts = sketch_arrays(sk)
-        assert items.shape == counts.shape == (2,)
-        assert dict(zip(items.tolist(), counts.tolist())) == {(1, "a"): 2, (2, "b"): 1}
+        res = sk.result()
+        assert res.items.shape == res.estimates.shape == (2,)
+        assert dict(zip(res.items.tolist(), res.estimates.tolist())) == {(1, "a"): 2, (2, "b"): 1}
         assert sk.to_pandas()["item"].tolist() == [(1, "a"), (2, "b")]
 
     def test_mixed_int_and_str_keys_stay_apart(self):

@@ -205,6 +205,15 @@ class TestInputContract:
         with pytest.raises(TypeError, match="'x'"):
             sketch_dataframe(df, "x", 5)
 
+    def test_zero_weight_items_get_no_bin(self, spark):
+        # m above the 10 distinct items, so no partition and no merge reduces
+        rows = [(i % 10, 0.0 if i % 3 == 0 else 1.0) for i in range(10)] * 2
+        df = spark.createDataFrame(rows, "k long, w double").repartition(2)
+        res = sketch_dataframe(df, "k", 50, weight_col="w", seed=0)
+        assert sorted(res.items.tolist()) == [1, 2, 4, 5, 7, 8]
+        assert res.subset_sum({0, 3, 6, 9}) == (0.0, 0)
+        assert res.t == 12.0
+
     def test_non_ascii_string_items(self, spark):
         keys = ["é", "日本", "a", "ß" * 3, ""]
         df = spark.createDataFrame(

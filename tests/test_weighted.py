@@ -20,6 +20,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             sk.add("a", -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, None])
+    def test_bad_weight_rejected_before_any_change(self, bad):
+        sk = WeightedUnbiasedSpaceSaving(2, seed=0)
+        sk.update_many("abc")
+        before = (sk.t, sk.estimates())
+        for item in ("a", "d"):  # held and absent
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                sk.add(item, bad)
+        assert (sk.t, sk.estimates()) == before
+
     def test_exact_when_under_capacity(self):
         sk = WeightedUnbiasedSpaceSaving(5, seed=0)
         sk.add("a", 2.5)
