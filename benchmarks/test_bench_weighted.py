@@ -1,10 +1,12 @@
 """Micro-benchmarks of the weighted and forward-decayed sketches (sec 5.3).
 
-Times ``WeightedUnbiasedSpaceSaving.add`` on a miss-heavy stream (nearly
-every row is a new item, so nearly every row runs one m+1 -> m
-reduction) at m in {100, 1000}, and ``ForwardDecaySpaceSaving.add`` at
-m = 64 on the same rows stamped over a span that decays them by e^-3.
-Each test records its throughput as ``extra_info["rows_per_s"]``.
+Times ``WeightedUnbiasedSpaceSaving.add`` on a miss-heavy stream at m in
+{100, 1000}, and ``ForwardDecaySpaceSaving.add`` at m = 64 on the same
+rows stamped over a span that decays them by e^-3. Nearly every row is a
+new item, so the exact dict fills to ``SPILL_FACTOR * m`` items and is
+reduced to m by one PPS sample again and again: the stream spills
+throughout. Each test records its throughput as
+``extra_info["rows_per_s"]``.
 
     pytest benchmarks/test_bench_weighted.py --benchmark-only \
         --benchmark-json=BENCH_weighted.json

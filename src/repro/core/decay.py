@@ -13,6 +13,12 @@ Here ``g(a) = exp(lambda * a)`` gives exponential decay with rate
 ``g`` can overflow, the landmark moves forward to the current time and
 the sketch is scaled by ``exp(-lambda * shift)``; one positive factor
 keeps every estimate unbiased.
+
+The decayed weights feed a :class:`WeightedUnbiasedSpaceSaving`, which
+holds them exactly in a dict of up to ``SPILL_FACTOR * m`` items and
+reduces it to m with one PPS sample when it overflows and at each query.
+A bad weight (null, negative, NaN or infinite) or timestamp raises
+``ValueError`` before the clock or the landmark moves.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import math
 from typing import Hashable
 
 from repro.core.result import CountSketchResult
-from repro.core.weighted import WeightedUnbiasedSpaceSaving
+from repro.core.weighted import WeightedUnbiasedSpaceSaving, check_weight
 
 #: largest exponent ``lambda * (t - landmark)`` before the landmark moves
 #: (``exp`` overflows past ~709)
@@ -44,6 +50,7 @@ class ForwardDecaySpaceSaving:
         """Add a row for ``item`` stamped ``time`` (monotone non-decreasing)."""
         if time < self._last_time:
             raise ValueError("forward decay requires non-decreasing timestamps")
+        check_weight(weight)
         a = self.rate * (time - self.landmark)
         if a > _MAX_EXPONENT:
             self._inner._scale(math.exp(-a))

@@ -60,9 +60,6 @@ class RandomBag:
     def __contains__(self, key) -> bool:
         return key in self._pos
 
-    def __iter__(self):
-        return iter(self._items)
-
     def __getitem__(self, i: int):
         """The element at position ``i`` of the bag's arbitrary order."""
         return self._items[i]

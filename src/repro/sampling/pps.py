@@ -5,18 +5,18 @@ Provides:
 * :func:`thresholded_pps_probs` — inclusion probabilities
   ``pi_i = min(1, alpha * x_i)`` with ``sum(pi) == k`` (the standard
   fixed-expected-size PPS design the paper references);
-* :func:`poisson_pps_sample` — independent Bernoulli(pi_i) sampling;
 * :func:`splitting_pps_sample` — a fixed-size design with *exact*
   marginal inclusion probabilities ``pi``, implemented with the ordered
   pivotal method, a member of the Deville-Tille (1998) splitting family
-  the paper cites for the merge operation;
-* :func:`horvitz_thompson` — the unbiased HT estimator of a total.
+  the paper cites for the merge operation.
 
 Both the probabilities and the fixed-size sample cost O(n) after one
 sort. When ``sum(pi) == k == n - 1`` exactly one unit is dropped, and
 it must be dropped with probability ``1 - pi_i``: that is the only
 fixed-size design with these marginals, so it is drawn in closed form.
-Every reduction of the weighted sketch (m+1 bins to m) has this shape.
+The weighted sketch's reduction (:mod:`repro.core.weighted`) draws one
+such sample to cut its ``SPILL_FACTOR * m`` items to m; a kept unit's
+Horvitz-Thompson value ``x_i / pi_i`` is its unbiased estimate.
 """
 from __future__ import annotations
 
@@ -52,20 +52,13 @@ def thresholded_pps_probs(weights: np.ndarray, k: int) -> np.ndarray:
     # mass of itself and all smaller ones (cum at its position); this
     # holds exactly for i = 1..j
     j = int(np.count_nonzero(asc[n - k:] * np.arange(1, k + 1) >= cum[n - k:]))
-    pi = np.minimum(w / (cum[n - 1 - j] / (k - j)), 1.0)
+    if j == k:
+        # the unpinned mass is negligible next to the k pinned weights
+        pi = np.zeros(n)
+    else:
+        pi = np.minimum(w / (cum[n - 1 - j] / (k - j)), 1.0)
     pi[order[n - j:]] = 1.0
     return pi
-
-
-def poisson_pps_sample(
-    weights: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Bernoulli(pi_i) sample; returns ``(mask, pi)``.
-
-    Sample size is ``k`` in expectation only.
-    """
-    pi = thresholded_pps_probs(weights, k)
-    return rng.random(len(pi)) < pi, pi
 
 
 def splitting_pps_sample(
@@ -133,24 +126,3 @@ def splitting_pps_sample(
         mask[carry] = True
     return mask, pi
 
-
-def horvitz_thompson(
-    values: np.ndarray, pi: np.ndarray, mask: np.ndarray
-) -> float:
-    """Unbiased HT estimate ``sum_i values_i * Z_i / pi_i`` of the total."""
-    v = np.asarray(values, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    sel = np.asarray(mask, dtype=bool)
-    if np.any(pi[sel] <= 0):
-        raise ValueError("sampled unit with zero inclusion probability")
-    return float((v[sel] / pi[sel]).sum())
-
-
-def ht_adjusted_values(
-    values: np.ndarray, pi: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Per-unit HT-adjusted values ``x_i / pi_i`` for the sampled units."""
-    v = np.asarray(values, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    sel = np.asarray(mask, dtype=bool)
-    return v[sel] / pi[sel]

@@ -81,3 +81,31 @@ def test_traced_final_merge_reaches_the_driver_reduction(bench):
         "spark_sketch.final_merge": 1, "merge.reduce_counts": 1, "priority.sample": 1,
     }
     assert tracer.counters[0]["merge.rows_in"] == 40
+
+
+def test_traced_weighted_decay_reaches_the_reduction(bench):
+    # the reduction must call splitting_pps_sample through weighted's module
+    # binding, or a traced weighted_decay run records no PPS time
+    from repro.core.decay import ForwardDecaySpaceSaving
+    from repro.core.weighted import SPILL_FACTOR
+
+    m = 2
+    tracer = bench("tracing").Tracer()
+    object.__new__(bench("wl_weighted_decay").WeightedDecay).patch(tracer)
+    tracer.begin_op(0)
+    try:
+        sk = ForwardDecaySpaceSaving(m, rate=0.01, seed=0)
+        for t in range(SPILL_FACTOR * m + 1):  # one spill past the cap
+            sk.add(t, float(t))
+        sk.add("new", 20.0)  # m + 1 items: the query reduces again
+        est, _, lo, hi = sk.result().subset_sum_ci({"new"})
+    finally:
+        tracer.end_op()
+        tracer.unpatch()
+    assert len(sk.estimates()) == m and lo <= est <= hi
+    calls = {name: agg[0] for name, agg in tracer.per_op[0].items()}
+    assert calls == {
+        "decay.add": SPILL_FACTOR * m + 2, "pps.splitting": 2, "pps.probs": 2,
+        "result.subset_sum_ci": 1,
+    }
+    assert tracer.counters[0]["pps.n"] == (SPILL_FACTOR * m + 1) + (m + 1)

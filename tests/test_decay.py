@@ -18,12 +18,14 @@ class TestForwardDecay:
         with pytest.raises(ValueError):
             sk.add("b", 0.5)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, None])
     def test_bad_weight_rejected(self, bad):
         sk = ForwardDecaySpaceSaving(5, rate=0.1, seed=0)
         sk.add("a", 1.0)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            sk.add("b", 2.0, bad)
+        for time in (2.0, 5_000.0):  # the second would move the landmark
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                sk.add("b", time, bad)
+        assert sk.landmark == 0.0
         assert sk.estimates() == pytest.approx({"a": 1.0})
         sk.add("b", 1.5)  # the rejected row did not move the clock to 2.0
 
@@ -121,6 +123,19 @@ class TestForwardDecay:
         assert np.isfinite(res.estimates).all() and np.isfinite(res.threshold)
         assert math.isclose(res.estimates.sum(), total, rel_tol=1e-9)
         assert math.isclose(res.t, total, rel_tol=1e-9)
+
+    def test_threshold_moves_with_the_landmark(self):
+        # ten unit rows reduced to m = 2 take 1/alpha = 5; a landmark move
+        # scales the threshold and the estimates by one factor
+        sk = ForwardDecaySpaceSaving(2, rate=1.0, seed=0)
+        for x in range(10):
+            sk.add(x, 0.0)
+        assert sk.result().threshold == 5.0
+        sk.add("absent", 400.0, 0.0)  # a = 400 moves the landmark
+        res = sk.result()
+        assert sk.landmark == 400.0
+        assert res.threshold == pytest.approx(5.0 * math.exp(-400.0), rel=1e-12)
+        assert res.estimates.tolist() == pytest.approx([res.threshold] * 2, rel=1e-12)
 
     def test_time_gap_past_underflow(self):
         # exp(-rate * gap) == 0.0: the old bins carry no mass any more

@@ -40,7 +40,7 @@ class TestRandomBag:
         assert len(b) == 0 and "a" not in b
 
     def test_choice_uniform(self):
-        # a uniform draw indexes the bag, as the kernel and weighted.py do
+        # a uniform draw indexes the bag, as the kernel does
         b = RandomBag()
         for x in range(6):
             b.add(x)

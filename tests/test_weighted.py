@@ -1,12 +1,13 @@
 """Weighted Unbiased Space Saving tests (sec 5.3 generalization)."""
-import copy
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.weighted import WeightedUnbiasedSpaceSaving
+from repro.core import weighted
+from repro.core.weighted import SPILL_FACTOR, WeightedUnbiasedSpaceSaving
 from repro.sampling.pps import thresholded_pps_probs
 
 
@@ -92,6 +93,39 @@ class TestUnbiasedness:
         for i, w in weights.items():
             assert abs(means[i] - w) < 0.15 * w + 0.3, (i, means[i], w)
 
+    def test_monte_carlo_unbiased_across_spills(self, monkeypatch):
+        # m = 2 and 40 items: three passes over the items, a query after
+        # the second. Pass 1 spills at rows 17 and 32 and leaves 10 items;
+        # pass 2 brings at least 30 new ones, so a third spill comes before
+        # the query and more follow after it
+        real, spills = weighted.splitting_pps_sample, []
+
+        def counted(*args):
+            spills.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(weighted, "splitting_pps_sample", counted)
+        w = np.where(np.arange(40) == 7, 30.0, 1.0 + np.arange(40) % 5)
+        reps = 3000
+        mid = np.zeros((reps, 40))
+        end = np.zeros((reps, 40))
+        for r in range(reps):
+            sk = WeightedUnbiasedSpaceSaving(2, seed=r)
+            sk.update_many(range(40), w.tolist())
+            sk.update_many(range(40), w.tolist())
+            if r == 0:
+                assert len(spills) >= 3
+            for x, v in sk.result().estimates_dict().items():
+                mid[r, x] = v
+            sk.update_many(range(40), w.tolist())
+            for x, v in sk.estimates().items():
+                end[r, x] = v
+        assert len(spills) >= 5 * reps
+        for est, truth in ((mid, 2 * w), (end, 3 * w)):
+            se = est.std(axis=0) / np.sqrt(reps)
+            gap = np.abs(est.mean(axis=0) - truth)
+            assert np.all(gap <= 4.5 * se + 1e-9 * truth), (gap, se)
+
     def test_total_unbiased(self):
         reps = 2000
         tot = 0.0
@@ -103,84 +137,96 @@ class TestUnbiasedness:
         assert abs(tot / reps - 55.0) < 0.06 * 55.0
 
 
-def _full_sketch(m, seed=0):
-    """A sketch past many reductions: its floor holds several bins."""
+def _spill(values, m, seed):
+    """A sketch fed one row per item of ``values``; the last add spills
+    when ``values`` holds ``SPILL_FACTOR * m + 1`` items."""
     sk = WeightedUnbiasedSpaceSaving(m, seed=seed)
-    rng = np.random.default_rng(seed)
-    for i in range(20 * m):
-        sk.add(i, float(rng.uniform(0.5, 2.0)))
+    for x, w in values.items():
+        sk.add(x, w)
     return sk
 
 
-def _drop_frequencies(base, item, weight, reps):
-    """How often each bin of ``base`` plus ``item`` is dropped by one add."""
-    values = base.estimates()
-    values[item] = values.get(item, 0.0) + weight
-    keys = list(values)
-    drops = dict.fromkeys(keys, 0)
-    for r in range(reps):
-        sk = copy.deepcopy(base)
-        sk._rng.seed(r)
-        sk.add(item, weight)
-        after = sk.estimates()
-        (dropped,) = [x for x in keys if x not in after]
-        drops[dropped] += 1
-        assert len(after) == base.m
-        assert np.isclose(sum(after.values()), sum(values.values()), rtol=1e-12)
-    probs = thresholded_pps_probs(np.array([values[x] for x in keys]), base.m)
-    return np.array([drops[x] / reps for x in keys]), 1.0 - probs
+def _full_dict(m, seed=0, heavy=()):
+    """``SPILL_FACTOR * m + 1`` light values, the last ones replaced by ``heavy``."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, SPILL_FACTOR * m + 1)
+    w[len(w) - len(heavy):] = heavy
+    return dict(enumerate(w.tolist()))
 
 
 class TestReduction:
-    """One m+1 -> m reduction drops bin i with probability 1 - pi_i."""
+    """One spill reduces the dict to m items with a fixed-size PPS sample."""
 
     REPS = 4000
 
-    def _check(self, base, item, weight):
-        freq, want = _drop_frequencies(base, item, weight, self.REPS)
+    def _check_inclusion(self, values, m, query=False):
+        keys = list(values)
+        hits = np.zeros(len(keys))
+        for r in range(self.REPS):
+            sk = _spill(values, m, r)
+            kept = sk.estimates() if query else sk._values
+            assert len(kept) == m
+            hits += [x in kept for x in keys]
+        want = thresholded_pps_probs(np.array(list(values.values())), m)
         tol = 4.5 * np.sqrt(want * (1 - want) / self.REPS) + 1e-3
-        assert np.all(np.abs(freq - want) <= tol), (freq, want)
+        assert np.all(np.abs(hits / self.REPS - want) <= tol), (hits / self.REPS, want)
         return want
 
-    def test_light_item_on_populated_floor(self):
-        base = _full_sketch(6)
-        assert len(base._floor) >= 2
-        self._check(base, "new", 0.3 * base._tau)
+    def test_inclusion_frequencies_match_pps(self):
+        want = self._check_inclusion(_full_dict(4, heavy=(100.0, 50.0)), 4)
+        assert (want == 1).sum() == 2 and want.min() > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_unpinned_values_equal_one_over_alpha(self, seed):
+        values = _full_dict(4, seed, heavy=(100.0,) * (seed % 3))
+        sk = _spill(values, 4, seed)
+        w = np.array(list(values.values()))
+        pi = thresholded_pps_probs(w, 4)
+        inv_alpha = (w / pi)[pi < 1]
+        assert np.allclose(inv_alpha, inv_alpha[0], rtol=1e-12)
+        for x, v in sk._values.items():
+            if pi[x] == 1:
+                assert v == values[x]
+            else:
+                assert v == pytest.approx(inv_alpha[0], rel=1e-12)
+        assert sk.result().threshold == pytest.approx(inv_alpha[0], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spill_conserves_total(self, seed):
+        values = _full_dict(8, seed, heavy=(1e3, 20.0, 5.0)[: seed % 4])
+        sk = _spill(values, 8, seed)
+        assert len(sk._values) == 8
+        assert math.isclose(
+            math.fsum(sk._values.values()), math.fsum(values.values()), rel_tol=1e-12
+        )
 
     def test_heavy_item_is_pinned(self):
-        base = _full_sketch(6)
-        want = self._check(base, "new", 10.0 * max(base.estimates().values()))
-        assert want[-1] == 0.0  # the new item is never dropped
-
-    def test_stale_heap_entry(self):
-        base = _full_sketch(6, seed=3)
-        x, y, z = base._floor[0], base._floor[1], base._floor[2]
-        tau = base._tau
-        base.add(y, 0.05 * tau)
-        base.add(z, 0.05 * tau)
-        base.add(x, 0.01 * tau)  # leaves the floor below y and z ...
-        base.add(x, 10.0 * tau)  # ... and its heap entry goes stale
-        assert any(key < base._above[b] for key, _, b in base._heap)
-        want = self._check(base, "new", 0.5 * tau)
-        keys = list(base.estimates()) + ["new"]
-        assert want[keys.index(x)] == 0.0 and want[keys.index(y)] > 0.0
+        values = _full_dict(6, heavy=(1e3,))
+        want = self._check_inclusion(values, 6)
+        assert want[-1] == 1.0  # the heavy item is always kept ...
+        for r in range(20):
+            est = _spill(values, 6, r).estimates()
+            assert est[len(values) - 1] == 1e3  # ... with its exact value
 
     def test_single_bin(self):
-        base = WeightedUnbiasedSpaceSaving(1, seed=0)
-        base.add("a", 2.0)
-        want = self._check(base, "b", 1.0)
-        assert np.allclose(want, [1 / 3, 2 / 3])
+        # m = 1: the query reduces {a: 2, b: 1} to one item worth 3
+        values = {"a": 2.0, "b": 1.0}
+        want = self._check_inclusion(values, 1, query=True)
+        assert np.allclose(want, [2 / 3, 1 / 3])
+        for r in range(10):
+            assert list(_spill(values, 1, r).estimates().values()) == [3.0]
 
-    @pytest.mark.parametrize("first", [("a",), ("a", "b")])
-    def test_negligible_unit_dropped(self, first):
-        # 1e20 * 1 >= 1e20 + (the rest) in floating point: the rest is
-        # the single unpinned unit (on the floor after the second add)
+    @pytest.mark.parametrize("first, before", [(("a",), 0.0), (("a", "b"), 2.0)])
+    def test_negligible_unit_dropped(self, first, before):
+        # 1e20 * 1 >= 1e20 + (the rest) in floating point: the one slot is
+        # pinned, the rest has pi == 0 and the threshold does not move
         sk = WeightedUnbiasedSpaceSaving(1, seed=0)
         for x in first:
             sk.add(x, 1.0)
+        assert sk.result().threshold == before  # two items reduce to one
         sk.add("big", 1e20)
         assert sk.estimates() == {"big": 1e20}
-        assert np.isfinite(sk.result().threshold)
+        assert sk.result().threshold == before
 
 
 class TestState:
@@ -195,14 +241,35 @@ class TestState:
         assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
         assert math.isclose(sk.t, math.fsum(weights), rel_tol=1e-9)
 
-    def test_estimates_and_result_agree(self):
-        sk = _full_sketch(8, seed=2)
-        sk.add(sk._floor[0], 1.0)
-        est = sk.estimates()
-        res = sk.result()
-        assert res.estimates_dict() == est
-        assert res.threshold == sk._tau > 0
-        assert min(est.values()) >= 0
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_estimates_and_result_agree(self, m):
+        # both reduce in place first, so either may be called first
+        rng = np.random.default_rng(2)
+        items = rng.integers(0, 100, 30 * m).tolist()
+        first, second = (WeightedUnbiasedSpaceSaving(m, seed=2) for _ in range(2))
+        first.update_many(items)
+        second.update_many(items)
+        assert len(first._values) > m
+        res = first.result()
+        est = second.estimates()
+        assert res.estimates_dict() == est == first.estimates()
+        assert res.threshold == second.result().threshold > 0
+        assert len(est) == m and min(est.values()) > 0
+
+    def test_dict_bounded_by_cap(self):
+        m = 5
+        sk = WeightedUnbiasedSpaceSaving(m, seed=3)
+        rng = np.random.default_rng(3)
+        for x, w in zip(range(500), rng.uniform(0.5, 2.0, 500).tolist()):
+            sk.add(x, w)
+            assert len(sk._values) <= SPILL_FACTOR * m
+        assert len(sk.result()) <= m and len(sk._values) <= m
+
+    def test_spill_factor_matches_the_spark_operator(self):
+        from repro.core.spark_sketch import sketch_dataframe
+
+        default = inspect.signature(sketch_dataframe).parameters["spill_factor"].default
+        assert SPILL_FACTOR == default
 
     def test_tuple_keys_result(self):
         sk = WeightedUnbiasedSpaceSaving(4, seed=0)
