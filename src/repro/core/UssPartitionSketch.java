@@ -2,158 +2,121 @@ package repro.core;
 
 import java.io.ByteArrayOutputStream;
 import java.io.DataOutputStream;
-import java.io.Externalizable;
 import java.io.IOException;
-import java.io.ObjectInput;
-import java.io.ObjectOutput;
 import java.io.UncheckedIOException;
 import java.nio.ByteBuffer;
 import java.nio.DoubleBuffer;
 import java.nio.charset.StandardCharsets;
-import java.util.Arrays;
+import java.util.Collections;
 import java.util.HashMap;
+import java.util.Iterator;
 import java.util.Map;
 import java.util.SplittableRandom;
 
 import org.apache.spark.TaskContext;
 import org.apache.spark.sql.Column;
 import org.apache.spark.sql.Dataset;
-import org.apache.spark.sql.Encoder;
-import org.apache.spark.sql.Encoders;
 import org.apache.spark.sql.Row;
-import org.apache.spark.sql.expressions.Aggregator;
+import org.apache.spark.sql.RowFactory;
+import org.apache.spark.sql.catalyst.InternalRow;
 import org.apache.spark.sql.functions;
-import scala.Tuple2;
+import org.apache.spark.sql.types.DataTypes;
+import org.apache.spark.sql.types.StructField;
+import org.apache.spark.sql.types.StructType;
 
 /**
- * The per-partition step of {@code sketch_dataframe} (spark_sketch.py) as a
- * Spark aggregate over (item, weight) rows.
+ * The per-partition step of {@code sketch_dataframe} (spark_sketch.py): one
+ * {@code mapPartitions} over the (item, weight) rows, so the whole build is
+ * one Spark stage with no shuffle.
  *
  * <p>Each partition sums its rows exactly into an item -> weight map. When the
  * map holds more than {@code cap} items it is reduced to {@code partitionBins}
  * by the same unbiased reduction as {@code merge.reduce_counts} (priority
- * sampling; Theorem 2), and once more when the partition closes, which is when
- * Spark serializes its buffer. {@code merge} only concatenates the
- * closed partitions' records and {@code finish} returns them as one blob;
- * Python decodes them and runs the one final merge, {@code _final_merge}.
+ * sampling; Theorem 2), and once more when the partition ends. The partition
+ * then emits its record as one binary row; Python collects the rows, decodes
+ * them and runs the one final merge, {@code _final_merge}.
  *
  * <p>A record is big-endian: the header (long pid, long n, long rejected,
  * double t, double threshold), n estimates (double), then n items, each a long,
  * or, for string items, n UTF-8 byte lengths (int) followed by the bytes. Rows
  * with a null item or a zero weight are skipped; rows whose weight is null,
  * NaN, infinite or negative are skipped and counted as {@code rejected}, which
- * {@code sketch_dataframe} turns into an error.
+ * {@code sketch_dataframe} turns into an error. A partition with no row of a
+ * non-null item emits no record.
  */
-public final class UssPartitionSketch
-    extends Aggregator<Tuple2<Object, Double>, UssPartitionSketch.Buffer, byte[]> {
+public final class UssPartitionSketch {
 
-  private final int partitionBins;
-  private final int cap;
-  private final long seed;
+  private static final StructType RECORDS = DataTypes.createStructType(
+      new StructField[] {DataTypes.createStructField("record", DataTypes.BinaryType, false)});
 
-  public UssPartitionSketch(int partitionBins, int cap, long seed) {
-    this.partitionBins = partitionBins;
-    this.cap = cap;
-    this.seed = seed;
-  }
+  private UssPartitionSketch() {}
 
   /**
-   * Builds the aggregate for Python: one instance per JVM, and one
+   * Builds the sketch's query for Python: one instance per JVM, and one
    * py4j call builds a sketch's query, since each py4j call costs about a
    * millisecond.
    */
   public static final class Runner {
     /**
-     * {@code df} aggregated to one row holding every partition's records,
+     * One binary row per non-empty partition of {@code df}: its record, built
      * over {@code itemCol} (cast to long unless {@code strings}) and
      * {@code weightCol} (cast to double; 1.0 per row when null). Python
-     * collects it: py4j would copy a returned byte[] one byte at a time.
+     * collects them: py4j would copy a returned byte[] one byte at a time.
      */
-    @SuppressWarnings({"unchecked", "rawtypes"})
     public Dataset<Row> sketch(Dataset<Row> df, String itemCol, String weightCol, boolean strings,
         int partitionBins, int cap, long seed) {
       Column item = strings ? functions.col(itemCol) : functions.col(itemCol).cast("long");
       Column weight = weightCol == null
           ? functions.lit(1.0) : functions.col(weightCol).cast("double");
-      Encoder key = strings ? Encoders.STRING() : Encoders.LONG();
-      Encoder row = Encoders.tuple(key, Encoders.DOUBLE());
-      Column agg = functions.udaf(new UssPartitionSketch(partitionBins, cap, seed), row)
-          .apply(item, weight);
-      return df.agg(agg);
+      // the engine's own rows: no per-row decoding into objects
+      Dataset<Row> rows = df.select(item, weight);
+      return df.sparkSession().createDataFrame(
+          rows.queryExecution().toRdd().toJavaRDD()
+              .mapPartitions(part -> build(part, strings, partitionBins, cap, seed)),
+          RECORDS);
     }
   }
 
-  @Override
-  public Buffer zero() {
-    return new Buffer(partitionBins, cap, seed);
+  /** One partition's (item, weight) rows to its record; none if no row has an item. */
+  static Iterator<Row> build(Iterator<InternalRow> rows, boolean strings, int bins, int cap,
+      long seed) {
+    Buffer b = null;
+    while (rows.hasNext()) {
+      InternalRow r = rows.next();
+      if (r.isNullAt(0)) {
+        continue;
+      }
+      if (b == null) {
+        b = new Buffer(bins, cap, seed);
+      }
+      // a null weight is rejected as NaN is
+      b.add(strings ? r.getUTF8String(0).toString() : (Object) r.getLong(0),
+          r.isNullAt(1) ? Double.NaN : r.getDouble(1));
+    }
+    return b == null
+        ? Collections.emptyIterator()
+        : Collections.singletonList(RowFactory.create((Object) b.close())).iterator();
   }
 
-  @Override
-  public Buffer reduce(Buffer b, Tuple2<Object, Double> row) {
-    b.add(row._1(), row._2());
-    return b;
-  }
-
-  @Override
-  public Buffer merge(Buffer a, Buffer b) {
-    a.close();
-    b.close();
-    a.records.writeBytes(b.records.toByteArray());
-    return a;
-  }
-
-  @Override
-  public byte[] finish(Buffer b) {
-    b.close();
-    return b.records.toByteArray();
-  }
-
-  @Override
-  public Encoder<Buffer> bufferEncoder() {
-    return Encoders.javaSerialization(Buffer.class);
-  }
-
-  @Override
-  public Encoder<byte[]> outputEncoder() {
-    return Encoders.BINARY();
-  }
-
-  /**
-   * A partition's exact map while it is open; its closed records after.
-   * Serializing a buffer closes it, so a partition ships at most
-   * {@code partitionBins} items.
-   */
-  public static final class Buffer implements Externalizable {
-    private int bins;
-    private int cap;
-    private long seed;
-    private HashMap<Object, Double> acc;
-    private SplittableRandom rng;
-    private int pid;
+  /** A partition's exact item -> weight map, reduced when it outgrows {@code cap}. */
+  static final class Buffer {
+    private final int bins;
+    private final int cap;
+    private final int pid = TaskContext.getPartitionId();
+    private final SplittableRandom rng;
+    private final HashMap<Object, Double> acc = new HashMap<>();
     private long rejected;
     private double t;
     private double threshold;
-    final ByteArrayOutputStream records = new ByteArrayOutputStream();
-
-    /** A closed buffer, as deserialized. */
-    public Buffer() {}
 
     Buffer(int bins, int cap, long seed) {
       this.bins = bins;
       this.cap = cap;
-      this.seed = seed;
+      this.rng = new SplittableRandom(partitionSeed(seed, pid));
     }
 
-    void add(Object item, Double w) {
-      if (item == null) {
-        return;
-      }
-      if (acc == null) {
-        pid = TaskContext.getPartitionId();
-        rng = new SplittableRandom(partitionSeed(seed, pid));
-        acc = new HashMap<>();
-      }
-      if (w == null || !(w >= 0.0 && w < Double.POSITIVE_INFINITY)) {
+    void add(Object item, double w) {
+      if (!(w >= 0.0 && w < Double.POSITIVE_INFINITY)) {
         rejected++;
         return;
       }
@@ -186,16 +149,14 @@ public final class UssPartitionSketch
       }
     }
 
-    /** Reduces an open partition to its record; a buffer that saw no row writes none. */
-    void close() {
-      if (acc == null) {
-        return;
-      }
+    /** Reduces the map to {@code bins} items and returns the partition's record. */
+    byte[] close() {
       if (acc.size() > bins) {
         spill();
       }
+      ByteArrayOutputStream record = new ByteArrayOutputStream();
       try {
-        DataOutputStream out = new DataOutputStream(records);
+        DataOutputStream out = new DataOutputStream(record);
         out.writeLong(pid);
         out.writeLong(acc.size());
         out.writeLong(rejected);
@@ -223,21 +184,7 @@ public final class UssPartitionSketch
       } catch (IOException e) {
         throw new UncheckedIOException(e);
       }
-      acc = null;
-    }
-
-    @Override
-    public void writeExternal(ObjectOutput out) throws IOException {
-      close();
-      out.writeInt(records.size());
-      out.write(records.toByteArray());
-    }
-
-    @Override
-    public void readExternal(ObjectInput in) throws IOException {
-      byte[] bytes = new byte[in.readInt()];
-      in.readFully(bytes);
-      records.write(bytes);
+      return record.toByteArray();
     }
   }
 
@@ -270,22 +217,21 @@ public final class UssPartitionSketch
       return out;
     }
     double[] q = new double[n];
-    double[] sorted = new double[n];
+    double[] scratch = new double[n];
     int nnz = 0;
     for (int i = 0; i < n; i++) {
       if (counts[i] != 0.0) {
         q[i] = counts[i] / (1.0 - rng.nextDouble());
-        sorted[nnz++] = q[i];
+        scratch[nnz++] = q[i];
       }
     }
     if (nnz <= m) {
       System.arraycopy(counts, 0, out, 0, n);
       return out;
     }
-    Arrays.sort(sorted, 0, nnz);
     // tau is the (m+1)-th largest priority; the m larger ones are kept, and
     // ties with tau fill what the strictly larger ones leave
-    double tau = sorted[nnz - m - 1];
+    double tau = select(scratch, nnz, nnz - m - 1);
     int room = m;
     for (int i = 0; i < n; i++) {
       if (q[i] > tau) {
@@ -301,6 +247,42 @@ public final class UssPartitionSketch
     }
     out[n] = tau;
     return out;
+  }
+
+  /**
+   * The {@code k}-th smallest (from 0) of {@code a[0, n)}, which it reorders:
+   * Hoare's selection, expected O(n). The values must not be NaN.
+   */
+  public static double select(double[] a, int n, int k) {
+    int lo = 0;
+    int hi = n - 1;
+    while (lo < hi) {
+      double pivot = a[(lo + hi) >>> 1];
+      int i = lo;
+      int j = hi;
+      while (i <= j) {
+        while (a[i] < pivot) {
+          i++;
+        }
+        while (a[j] > pivot) {
+          j--;
+        }
+        if (i <= j) {
+          double x = a[i];
+          a[i++] = a[j];
+          a[j--] = x;
+        }
+      }
+      // now a[lo, j] <= pivot <= a[i, hi], and a[j+1, i) equals it
+      if (k <= j) {
+        hi = j;
+      } else if (k >= i) {
+        lo = i;
+      } else {
+        return a[k];
+      }
+    }
+    return a[k];
   }
 
   /**

@@ -20,14 +20,16 @@ Two per-partition strategies are provided:
   production path matches the paper's process distributionally.
 
 Layering note (DESIGN.md §2): :func:`sketch_dataframe` builds each
-partition's sketch in a JVM aggregate (``UssPartitionSketch.java``,
-next to this file), so no Python worker or Arrow batch is involved;
-Python decodes the per-partition records and runs the one final merge,
-:func:`_final_merge`, which reports its result by the same merge rule
-as :func:`~repro.core.merge.merge_unbiased`. The Java source is compiled
-with ``javac`` on first use into ``.jvm_build/`` (keyed by a hash of the
-source; a new build deletes the jars of older sources) and loaded into
-the running session, so a JDK is required.
+partition's sketch in the JVM (``UssPartitionSketch.java``, next to this
+file) with one ``mapPartitions`` over Spark's internal rows, so the
+build is one Spark stage with no shuffle, and no Python worker or Arrow
+batch is involved. Each non-empty partition emits its record as one
+binary row; Python collects the rows, decodes them and runs the one
+final merge, :func:`_final_merge`, which reports its result by the same
+merge rule as :func:`~repro.core.merge.merge_unbiased`. The Java source
+is compiled with ``javac`` on first use into ``.jvm_build/`` (keyed by a
+hash of the source; a new build deletes the jars of older sources) and
+loaded into the running session, so a JDK is required.
 :func:`sketch_dataframe_streamwise` keeps ``mapInPandas`` as the
 Algorithm-1 reference.
 """
@@ -60,7 +62,7 @@ _NUMERIC = (
 )
 _SOURCE = Path(__file__).with_name("UssPartitionSketch.java")
 _BUILD_DIR = Path(__file__).with_name(".jvm_build")
-# the aggregate's runner, loaded once into each SparkContext's JVM
+# the builder's runner, loaded once into each SparkContext's JVM
 _LOADED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _LOAD_LOCK = threading.Lock()
 # one partition record's header, as UssPartitionSketch.Buffer.close writes it
@@ -97,7 +99,7 @@ def _find_javac() -> str:
     javac = javac or shutil.which("javac")
     if javac is None:
         raise RuntimeError(
-            "sketch_dataframe compiles its JVM aggregate with javac, but none "
+            "sketch_dataframe compiles its JVM builder with javac, but none "
             f"was found in $JAVA_HOME/bin (JAVA_HOME={home!r}) or on PATH; "
             "install a JDK and set JAVA_HOME to it"
         )
@@ -105,7 +107,7 @@ def _find_javac() -> str:
 
 
 def _build_jar(classpath: str) -> Path:
-    """The aggregate's jar, compiled against ``classpath`` unless it exists.
+    """The builder's jar, compiled against ``classpath`` unless it exists.
 
     A build deletes the jars of every other source version; a failed one
     leaves no key directory behind.
@@ -137,7 +139,7 @@ def _build_jar(classpath: str) -> Path:
 
 
 def _load_jar(sc: SparkContext, jar: Path):
-    """Ship ``jar`` to the executors and load the aggregate's runner from it."""
+    """Ship ``jar`` to the executors and load the builder's runner from it."""
     sc._jsc.addJar(str(jar))
     jvm = sc._jvm
     urls = sc._gateway.new_array(jvm.java.net.URL, 1)
@@ -163,7 +165,7 @@ def _runner(sc: SparkContext):
 
 
 def _decode(blob: bytes, strings: bool) -> tuple[pd.DataFrame, int]:
-    """The aggregate's partition records as ``_final_merge``'s input, in
+    """The builder's partition records as ``_final_merge``'s input, in
     partition order, and the number of rejected weights."""
     records, rejected, off = [], 0, 0
     while off < len(blob):
@@ -185,8 +187,7 @@ def _decode(blob: bytes, strings: bool) -> tuple[pd.DataFrame, int]:
             "item": items, "estimate": est, "threshold": float(head["threshold"]),
             "part_t": float(head["part_t"]), "pid": int(head["pid"]),
         })))
-    # the shuffle delivers records in any order; the merge's draws must not
-    # depend on it
+    # the merge's draws must not depend on the order records arrive in
     records.sort(key=lambda r: r[0])
     if not records:
         return pd.DataFrame(columns=["item", "estimate", "threshold", "part_t", "pid"]), 0
@@ -225,7 +226,8 @@ def sketch_dataframe(
         df._jdf, item_col, weight_col, strings, pb, cap,
         (seed + 2**63) % 2**64 - 2**63,  # wrapped into a Java long
     )
-    parts, rejected = _decode(bytes(DataFrame(jdf, spark).collect()[0][0]), strings)
+    records = DataFrame(jdf, spark).collect()
+    parts, rejected = _decode(b"".join(bytes(r[0]) for r in records), strings)
     if rejected:
         raise ValueError(
             f"weight_col {weight_col!r} holds {rejected} null, NaN, infinite "

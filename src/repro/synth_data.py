@@ -102,10 +102,3 @@ def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, s
     weights /= weights.sum()
     keys = g.choice(ranks, size=n, p=weights)
     return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

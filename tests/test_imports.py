@@ -43,7 +43,7 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
 
 
 def test_spark_sketch_imports_without_a_jvm():
-    # the JVM aggregate is compiled and loaded on first use, not on import
+    # the JVM builder is compiled and loaded on first use, not on import
     code = (
         "import repro.core.spark_sketch as s; from pyspark import SparkContext; "
         "assert SparkContext._gateway is None and not s._LOADED"

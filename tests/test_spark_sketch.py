@@ -166,6 +166,59 @@ class TestEmptyAndEdge:
         assert res.estimate(0) == 10.0
 
 
+def _job_stages(sc, group: str, run):
+    """``run()``'s result, and the stage ids of each job it starts, under job
+    group ``group``."""
+    sc.setJobGroup(group, group)
+    try:
+        out = run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # The status store applies listener events asynchronously, in order: once
+    # a later job shows as finished, every event of the group's jobs is in.
+    marker = group + "-marker"
+    sc.setJobGroup(marker, marker)
+    try:
+        sc.parallelize([0], 1).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + 60
+    while not tracker.getJobIdsForGroup(marker) or any(
+        (tracker.getJobInfo(j) is None or tracker.getJobInfo(j).status != "SUCCEEDED")
+        for j in tracker.getJobIdsForGroup(marker)
+    ):
+        assert time.monotonic() < deadline, "the marker job never showed as finished"
+        time.sleep(0.05)
+    return out, [list(tracker.getJobInfo(j).stageIds) for j in tracker.getJobIdsForGroup(group)]
+
+
+class TestDataflow:
+    """The shape of the Spark work that ``sketch_dataframe`` runs."""
+
+    def test_one_job_with_one_stage(self, spark):
+        # no shuffle upstream, and enough keys that every partition spills
+        df = spark.range(40_000, numPartitions=4).select((F.col("id") % 3000).alias("k"))
+        res, stages = _job_stages(
+            spark.sparkContext, "uss-one-stage", lambda: sketch_dataframe(df, "k", 50, seed=0)
+        )
+        assert len(stages) == 1 and len(stages[0]) == 1
+        assert res.t == 40_000.0 and len(res) <= 50
+
+    @pytest.mark.parametrize("weight", [None, "w"])
+    def test_empty_and_null_only_partitions(self, spark, weight):
+        rows = [(1, 2.0), (2, 1.0), (None, 4.0), (1, 3.0), (3, 1.0), (None, 5.0),
+                (2, 2.5), (4, 0.5)]
+        # 8 rows in 16 slices: every other partition is empty, and two hold
+        # only a row with a null item
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 16), "k long, w double")
+        assert df.rdd.getNumPartitions() == 16
+        res = sketch_dataframe(df, "k", 100, weight_col=weight, seed=0)
+        want = exact_counts(df, "k", weight_col=weight).toPandas().dropna(subset=["item"])
+        assert res.estimates_dict() == dict(zip(want["item"].astype(int), want["n"]))
+        assert res.t == want["n"].sum() == (10.0 if weight else 6.0)
+
+
 class TestInputContract:
     """What ``sketch_dataframe`` does with each kind of bad input."""
 
@@ -199,7 +252,7 @@ class TestInputContract:
         df = spark.createDataFrame(pd.DataFrame({"x": [1.5, 2.5]}))
 
         def no_jvm(sc):
-            raise AssertionError("the aggregate was loaded")
+            raise AssertionError("the builder was loaded")
 
         monkeypatch.setattr(spark_sketch, "_runner", no_jvm)
         with pytest.raises(TypeError, match="'x'"):
@@ -224,7 +277,7 @@ class TestInputContract:
 
 
 class TestBuild:
-    """Compiling and loading the JVM aggregate."""
+    """Compiling and loading the JVM builder."""
 
     def test_missing_javac_names_java_home(self, monkeypatch, tmp_path):
         monkeypatch.setattr(spark_sketch, "_BUILD_DIR", tmp_path / "build")
@@ -238,7 +291,7 @@ class TestBuild:
         first = sketch_dataframe(df, "k", 10, seed=0)
 
         def fail(*args, **kwargs):
-            raise AssertionError("the aggregate was built or loaded again")
+            raise AssertionError("the builder was built or loaded again")
 
         monkeypatch.setattr(spark_sketch, "_build_jar", fail)
         monkeypatch.setattr(spark_sketch, "_load_jar", fail)
@@ -310,7 +363,7 @@ def jvm_sketch(spark):
     """``UssPartitionSketch``'s static methods through ``spark._jvm``.
 
     py4j finds classes through the calling JVM thread's context class
-    loader, so it is pointed at the aggregate's loader while these tests run.
+    loader, so it is pointed at the builder's loader while these tests run.
     """
     runner = spark_sketch._runner(spark.sparkContext)
     thread = spark._jvm.java.lang.Thread.currentThread()
@@ -355,6 +408,19 @@ class TestJvmReduction:
         few = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         est = reduce(jvm_sketch, few, 3)
         assert (est[:, :-1] == few).all() and (est[:, -1] == 0).all()
+
+    def test_select_matches_sort(self, spark, jvm_sketch):
+        """``select`` returns the k-th smallest, ties included, as a sort would."""
+        gateway, jvm = spark.sparkContext._gateway, spark._jvm
+        g = np.random.default_rng(3)
+        for n in (1, 2, 3, 10, 101, 1000):
+            for a in (g.integers(0, 4, n).astype(float), g.exponential(size=n)):
+                want = np.sort(a)
+                for k in sorted({0, n - 1, n // 2, int(g.integers(n))}):
+                    arr = gateway.new_array(jvm.double, n)
+                    jvm.java.nio.ByteBuffer.wrap(bytearray(a.astype(">f8").tobytes())) \
+                        .asDoubleBuffer().get(arr)
+                    assert jvm_sketch.select(arr, n, k) == want[k], (n, k)
 
     def test_partition_seeds_distinct_and_not_linear(self, jvm_sketch):
         seeds = {
