@@ -60,7 +60,7 @@ def test_priority_sample(benchmark, n):
     w = _weights(n)
     rng = np.random.default_rng(0)
     ps = benchmark(priority_sample, np.arange(n), w, n // 10, rng)
-    assert len(ps.items) == n // 10
+    assert len(ps) == n // 10
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -83,3 +83,14 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Keep each benchmark's summary statistics, not its raw rounds.
+
+    ``--benchmark-json`` always writes every round's time under
+    ``stats["data"]``: thousands of numbers for a fast function, which no
+    reader of the committed ``BENCH_*.json`` files uses.
+    """
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)

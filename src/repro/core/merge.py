@@ -3,8 +3,9 @@
 Theorem 2: any reduction whose post-reduction expected estimates equal
 the pre-reduction estimates keeps the sketch unbiased, so one reduction
 serves every merge. A merge is an exact union of per-item estimates
-(sums by item) followed by :func:`reduce_counts`, priority sampling
-(Duffield, Lund & Thorup 2007) over the combined estimates with
+(sums by item) followed by :func:`reduce_counts`: zero estimates are
+dropped and the rest go through priority sampling (Duffield, Lund &
+Thorup 2007, :func:`~repro.sampling.priority.priority_sample`) with
 HT-adjusted counts ``max(c_i, tau)`` (the paper's suggested swap-in for
 the pairwise randomization). It keeps ``E[estimate]`` per item, not the
 total: the sum of the estimates varies around ``t``.
@@ -12,15 +13,10 @@ total: the sum of the estimates varies around ``t``.
 :func:`merged_result` is the one merge rule, shared with the Spark
 operator's final merge: the merged sketch reports the largest threshold
 of its reduction and of its inputs, and the inputs' total mass.
-
-The biased Misra-Gries merge (Agarwal et al. 2013) is kept for
-comparison: it soft-thresholds the combined counts by the (m+1)-th
-largest, preserving the deterministic error bound but biasing sums
-downward (paper Figure 1 discussion).
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -72,17 +68,13 @@ def reduce_counts(
     """Unbiasedly reduce (item, count) pairs to at most ``m`` bins by
     priority sampling.
 
-    Zero counts are never kept: their estimate is 0 either way.
+    Zero counts are dropped first: their estimate is 0 either way. The
+    others must be positive and finite, as :func:`priority_sample` checks.
     """
-    items = np.asarray(items)
     counts = np.asarray(counts, dtype=np.float64)
-    total = float(counts.sum())
     nz = counts != 0
-    items, counts = items[nz], counts[nz]
-    if len(items) <= m:
-        return CountSketchResult(items, counts, 0.0, total)
-    ps = priority_sample(items, counts, m, rng)
-    return CountSketchResult(ps.items, ps.estimates, ps.tau, total)
+    # through this module's binding, which a traced benchmark run patches
+    return priority_sample(np.asarray(items)[nz], counts[nz], m, rng)
 
 
 def merged_result(
@@ -94,9 +86,12 @@ def merged_result(
 
     An unreduced union keeps its inputs' sampling error, so it keeps their
     ``N_min``-analogue for eq. 5; and ``t`` is mass seen, which a reduction's
-    estimates only match in expectation.
+    estimates only match in expectation. A NaN threshold (an input with no
+    ``N_min`` analogue, such as a reduced bottom-k sample) makes the merged
+    threshold NaN: ``np.max`` propagates it, where ``max`` would drop it
+    unless it came first.
     """
-    thr = max([reduced.threshold, *thresholds])
+    thr = np.max([reduced.threshold, *thresholds])
     return CountSketchResult(
         reduced.items, reduced.estimates, float(thr), float(np.sum(list(totals)))
     )
@@ -132,20 +127,3 @@ def merge_unbiased(
         [r.threshold for r in results],
         [r.t for r in results],
     )
-
-
-def merge_misra_gries(counts_maps: Iterable[Mapping], m: int) -> dict:
-    """Biased Misra-Gries merge (Agarwal et al. 2013).
-
-    Sums counters by item, then soft-thresholds by the (m+1)-th largest
-    combined counter so at most ``m`` non-zero counters remain. Each
-    merged counter is an underestimate by at most ``n_tot / m``.
-    """
-    items, counts = sum_by_item(
-        (r.items, r.estimates) for r in map(_as_result, counts_maps)
-    )
-    if len(items) <= m:
-        return dict(zip(items.tolist(), counts.tolist()))
-    thr = float(np.partition(counts, -(m + 1))[-(m + 1)])
-    keep = counts > thr
-    return dict(zip(items[keep].tolist(), (counts[keep] - thr).tolist()))

@@ -10,8 +10,11 @@ unbiased reduction or merge of such a set another such set.
 The queries live here and only here: subset sums, eq.-5 confidence
 intervals, top-k and frames. Every sketch answers them through its
 ``.result()`` — :class:`~repro.core.space_saving.SpaceSaving`, the
-weighted and forward-decay sketches, and the merges in
-:mod:`repro.core.merge`, which return a :class:`CountSketchResult`.
+weighted and forward-decay sketches — and the merges in
+:mod:`repro.core.merge` and the baselines' samples
+(:func:`~repro.sampling.priority.priority_sample`,
+:func:`~repro.sampling.bottomk.bottomk_from_counts`) return a
+:class:`CountSketchResult`.
 """
 from __future__ import annotations
 
@@ -48,11 +51,6 @@ def membership(member) -> Callable[[Hashable], bool]:
     return member.__contains__
 
 
-def member_mask(items: np.ndarray, member) -> np.ndarray:
-    """Boolean mask of the ``items`` that fall in the subset ``member``."""
-    return np.fromiter(map(membership(member), items), dtype=bool, count=len(items))
-
-
 @dataclass(frozen=True)
 class CountSketchResult:
     """Items with (possibly HT-adjusted) count estimates.
@@ -62,7 +60,9 @@ class CountSketchResult:
     items: item identifiers (<= m of them)
     estimates: unbiased count estimates per item
     threshold: reduction threshold (0 when no reduction happened);
-        the ``N_min``-analogue used for variance estimation
+        the ``N_min``-analogue used for variance estimation. NaN when the
+        sample has no such analogue (a reduced bottom-k sample), so its
+        eq.-5 variance and interval are NaN
     t: total mass the sketch summarizes (sum of pre-reduction counts)
 
     ``member`` arguments are a set (or any collection) of items or a

@@ -6,32 +6,25 @@ sketches are shipped to one place, and an unbiased merge (Theorem 2)
 reduces them to a single ``m``-bin summary answering disaggregated
 subset-sum and frequent-item queries.
 
-Two per-partition strategies are provided:
+:func:`sketch_dataframe` is the one entrypoint. Within each partition,
+rows are *exactly* aggregated into an item->count map which is
+unbiasedly reduced by priority sampling (the sec 5.3 multi-bin
+generalization) whenever it exceeds a spill cap. Exact partial
+aggregation + unbiased reduction is itself an unbiased reduction
+operation, and it costs one hash-map update per row, unlike the
+row-at-a-time Space Saving update.
 
-* :func:`sketch_dataframe` (default, production path) — within each
-  partition, rows are *exactly* aggregated into an item->count map
-  which is unbiasedly reduced by priority sampling (the sec 5.3
-  multi-bin generalization) whenever it exceeds a spill cap. Exact
-  partial aggregation + unbiased reduction is itself an unbiased
-  reduction operation, and it costs one hash-map update per row, unlike
-  the row-at-a-time Space Saving update.
-* :func:`sketch_dataframe_streamwise` — runs the literal Algorithm 1
-  kernel over each partition's rows in order; used to validate that the
-  production path matches the paper's process distributionally.
-
-Layering note (DESIGN.md §2): :func:`sketch_dataframe` builds each
-partition's sketch in the JVM (``UssPartitionSketch.java``, next to this
-file) with one ``mapPartitions`` over Spark's internal rows, so the
-build is one Spark stage with no shuffle, and no Python worker or Arrow
-batch is involved. Each non-empty partition emits its record as one
-binary row; Python collects the rows, decodes them and runs the one
-final merge, :func:`_final_merge`, which reports its result by the same
-merge rule as :func:`~repro.core.merge.merge_unbiased`. The Java source
-is compiled with ``javac`` on first use into ``.jvm_build/`` (keyed by a
-hash of the source; a new build deletes the jars of older sources) and
-loaded into the running session, so a JDK is required.
-:func:`sketch_dataframe_streamwise` keeps ``mapInPandas`` as the
-Algorithm-1 reference.
+Layering note (DESIGN.md §2): each partition's sketch is built in the JVM
+(``UssPartitionSketch.java``, next to this file) with one
+``mapPartitions`` over Spark's internal rows, so the build is one Spark
+stage with no shuffle, and no Python worker or Arrow batch is involved.
+Each non-empty partition emits its record as one binary row; Python
+collects the rows, decodes them and runs the one final merge,
+:func:`_final_merge`, which reports its result by the same merge rule as
+:func:`~repro.core.merge.merge_unbiased`. The Java source is compiled
+with ``javac`` on first use into ``.jvm_build/`` (keyed by a hash of the
+source; a new build deletes the jars of older sources) and loaded into
+the running session, so a JDK is required.
 """
 from __future__ import annotations
 
@@ -44,18 +37,16 @@ import threading
 import weakref
 import zipfile
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark import SparkContext, TaskContext
+from pyspark import SparkContext
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.merge import merged_result, reduce_counts, sum_by_item
 from repro.core.result import CountSketchResult
-from repro.core.space_saving import UnbiasedSpaceSaving
 
 _NUMERIC = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType,
@@ -81,15 +72,6 @@ def _item_spark_type(df: DataFrame, item_col: str) -> str:
     raise TypeError(
         f"item column {item_col!r} must be integral or string, got {dt}"
     )
-
-
-def _partition_id() -> int:
-    ctx = TaskContext.get()
-    return ctx.partitionId() if ctx is not None else 0
-
-
-def _partition_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, _partition_id()]))
 
 
 def _find_javac() -> str:
@@ -233,43 +215,6 @@ def sketch_dataframe(
             f"weight_col {weight_col!r} holds {rejected} null, NaN, infinite "
             "or negative weights; weights must be finite and non-negative"
         )
-    return _final_merge(parts, m, seed)
-
-
-def sketch_dataframe_streamwise(
-    df: DataFrame,
-    item_col: str,
-    m: int,
-    *,
-    seed: int = 0,
-    partition_bins: int | None = None,
-) -> CountSketchResult:
-    """Literal Algorithm 1 per partition, then the unbiased merge."""
-    pb = partition_bins or m
-    item_sql_type = _item_spark_type(df, item_col)
-    schema = (
-        f"item {item_sql_type}, estimate double, threshold double, part_t double, pid int"
-    )
-
-    def build_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rng = _partition_seed(seed)
-        sk = UnbiasedSpaceSaving(pb, seed=int(rng.integers(2**63)))
-        for pdf in batches:
-            sk.update_many(pdf["item"].tolist())
-        est = sk.estimates()
-        yield pd.DataFrame(
-            {
-                "item": list(est.keys()),
-                "estimate": [float(c) for c in est.values()],
-                "threshold": float(sk.n_min),
-                "part_t": float(sk.t),
-                "pid": _partition_id(),
-            }
-        )
-
-    parts = df.select(F.col(item_col).alias("item")).mapInPandas(
-        build_partition, schema=schema
-    ).toPandas()
     return _final_merge(parts, m, seed)
 
 

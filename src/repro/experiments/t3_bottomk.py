@@ -53,7 +53,7 @@ def run(
         sk = UnbiasedSpaceSaving.from_stream(stream.tolist(), m, seed=rep_seed)
         uss = np.asarray([sk.subset_sum(s)[0] for s in subset_sets])
         bk = bottomk_from_counts(item_ids, counts, m, rng)
-        bot = np.asarray([bk.subset_sum(s) for s in subset_sets])
+        bot = np.asarray([bk.subset_sum(s)[0] for s in subset_sets])
         return estimates_rows(rep_seed, {"unbiased_ss": uss, "bottomk": bot})
 
     rows = run_replications(spark, n_reps, one_rep, EST_SCHEMA, base_seed=seed)

@@ -58,8 +58,8 @@ def run(
         uss = [sk.subset_sum(s)[0] for s in subset_sets]
         uss.append(sk.subset_sum(everything)[0])
         ps = priority_sample(item_ids, counts, m, rng)
-        pri = [ps.subset_sum(s) for s in subset_sets]
-        pri.append(ps.subset_sum(everything))
+        pri = [ps.subset_sum(s)[0] for s in subset_sets]
+        pri.append(ps.subset_sum(everything)[0])
         return estimates_rows(
             rep_seed,
             {"unbiased_ss": np.asarray(uss), "priority": np.asarray(pri)},

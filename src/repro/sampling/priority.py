@@ -7,51 +7,17 @@ pre-aggregation), draw priorities ``q_i = n_i / u_i`` with
 ``tau`` to the (m+1)-th largest priority. The estimator
 ``n_hat_i = max(n_i, tau)`` for kept items (0 otherwise) is unbiased and
 near-optimal for subset sums (Szegedy 2006).
+
+The sample is a :class:`~repro.core.result.CountSketchResult`: the kept
+items, their estimates ``max(n_i, tau)``, ``tau`` as the threshold and
+the total weight as ``t``, so it answers every query a sketch does. It is
+also the unbiased reduction of :func:`repro.core.merge.reduce_counts`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.result import member_mask
-
-
-@dataclass(frozen=True)
-class PrioritySample:
-    """A drawn priority sample over items with true weights.
-
-    Attributes
-    ----------
-    items: array of kept item identifiers
-    weights: their true (pre-aggregated) weights ``n_i``
-    estimates: HT-style adjusted weights ``max(n_i, tau)``
-    tau: the (m+1)-th largest priority (0 when everything was kept)
-    """
-
-    items: np.ndarray
-    weights: np.ndarray
-    estimates: np.ndarray
-    tau: float
-
-    def subset_sum(self, member) -> float:
-        """Unbiased estimate of ``sum_{i in S} n_i``.
-
-        ``member`` is a membership set/array-test or predicate over the
-        item identifiers.
-        """
-        mask = member_mask(self.items, member)
-        return float(self.estimates[mask].sum())
-
-    def subset_sum_variance(self, member) -> float:
-        """Variance estimate ``sum tau * (tau - n_i)_+`` over kept S-items.
-
-        This is the HT plug-in for Poisson PPS with pseudo-inclusion
-        ``min(1, n_i/tau)``; items with ``n_i >= tau`` contribute zero.
-        """
-        mask = member_mask(self.items, member)
-        w = self.weights[mask]
-        return float(np.maximum(self.tau - w, 0.0).sum() * self.tau)
+from repro.core.result import CountSketchResult
 
 
 def priority_sample(
@@ -59,17 +25,22 @@ def priority_sample(
     weights: np.ndarray,
     m: int,
     rng: np.random.Generator,
-) -> PrioritySample:
-    """Draw a size-``m`` priority sample from pre-aggregated weights."""
+) -> CountSketchResult:
+    """Draw a size-``m`` priority sample from pre-aggregated weights.
+
+    Every weight must be positive and finite. With at most ``m`` items
+    all are kept with their weights and threshold 0.
+    """
     items = np.asarray(items)
     w = np.asarray(weights, dtype=np.float64)
     if len(items) != len(w):
         raise ValueError("items and weights must align")
-    if np.any(w <= 0):
-        raise ValueError("priority sampling requires positive weights")
+    if not ((w > 0) & (w < np.inf)).all():
+        raise ValueError("priority sampling requires positive, finite weights")
     n = len(w)
+    total = float(w.sum())
     if n <= m:
-        return PrioritySample(items, w, w.copy(), 0.0)
+        return CountSketchResult(items, w.copy(), 0.0, total)
     u = rng.random(n)
     q = w / u
     # indices of the m largest priorities; tau is the (m+1)-th largest
@@ -77,12 +48,4 @@ def priority_sample(
     order = order[np.argsort(-q[order])]
     keep, tau_idx = order[:m], order[m]
     tau = float(q[tau_idx])
-    est = np.maximum(w[keep], tau)
-    return PrioritySample(items[keep], w[keep], est, tau)
-
-
-def inclusion_pseudo_probs(weights: np.ndarray, tau: float) -> np.ndarray:
-    """Pseudo-inclusion probabilities ``min(1, n_i / tau)`` given ``tau``."""
-    if tau <= 0:
-        return np.ones(len(weights))
-    return np.minimum(1.0, np.asarray(weights, dtype=np.float64) / tau)
+    return CountSketchResult(items[keep], np.maximum(w[keep], tau), tau, total)

@@ -7,12 +7,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import spark_sketch
+from repro.core import merge, spark_sketch
 from repro.core.decay import ForwardDecaySpaceSaving
-from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts, sum_by_item
+from repro.core.merge import merge_unbiased, reduce_counts, sum_by_item
 from repro.core.result import item_array
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
+from repro.sampling.bottomk import bottomk_from_counts
+from repro.sampling.priority import priority_sample
 
 
 def _sketch(stream, m, seed):
@@ -67,6 +69,39 @@ class TestReduceCounts:
     def test_priority_all_zero_beyond_m(self):
         res = reduce_counts(np.arange(5), np.zeros(5), 3, np.random.default_rng(0))
         assert len(res) == 0 and res.t == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_counts_rejected(self, bad):
+        # below m too: nothing is sampled, but a bad estimate must not pass
+        with pytest.raises(ValueError):
+            reduce_counts(np.arange(4), [1.0, bad, 2.0, 3.0], 2, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            reduce_counts(np.arange(4), [1.0, bad, 2.0, 3.0], 10, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            merge_unbiased([{1: 2.0, 2: bad}], 5, rng=np.random.default_rng(0))
+
+    def test_is_priority_sample_of_nonzero_counts(self):
+        counts = np.asarray([0.0, 3, 1, 0, 7, 2, 5, 0, 4, 6])
+        items = np.arange(10)
+        res = reduce_counts(items, counts, 4, np.random.default_rng(3))
+        nz = counts != 0
+        ps = priority_sample(items[nz], counts[nz], 4, np.random.default_rng(3))
+        assert res.items.tolist() == ps.items.tolist()
+        assert res.estimates.tolist() == ps.estimates.tolist()
+        assert (res.threshold, res.t) == (ps.threshold, ps.t)
+
+    def test_calls_priority_sample_by_module_binding(self, monkeypatch):
+        # a traced benchmark run patches merge.priority_sample by name
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return priority_sample(*args)
+
+        monkeypatch.setattr(merge, "priority_sample", spy)
+        reduce_counts(np.arange(5), np.arange(5.0), 2, np.random.default_rng(0))
+        merge_unbiased([{1: 2.0, 2: 3.0}, {3: 1.0}], 2, rng=np.random.default_rng(0))
+        assert calls == [4, 3]
 
     def test_t_preserved(self):
         g = np.random.default_rng(2)
@@ -199,35 +234,6 @@ class TestMergeUnbiased:
         assert all(isinstance(x, tuple) for x in res.estimates_dict())
 
 
-class TestMergeMisraGries:
-    def test_size_bound_and_soft_threshold(self):
-        maps = [
-            {f"a{i}": float(i + 1) for i in range(8)},
-            {f"b{i}": float(i + 1) for i in range(8)},
-        ]
-        m = 5
-        merged = merge_misra_gries(maps, m)
-        assert len(merged) <= m
-        combined = {}
-        for mp in maps:
-            for k, v in mp.items():
-                combined[k] = combined.get(k, 0) + v
-        # each counter underestimates by exactly the (m+1)-th largest
-        thr = sorted(combined.values(), reverse=True)[m]
-        for k, v in merged.items():
-            assert v == combined[k] - thr
-
-    def test_exact_when_few(self):
-        merged = merge_misra_gries([{"a": 1.0}, {"b": 2.0}], 5)
-        assert merged == {"a": 1.0, "b": 2.0}
-
-    def test_biased_downward(self):
-        maps = [{f"x{i}": 2.0 for i in range(10)}]
-        merged = merge_misra_gries(maps, 4)
-        combined_total = 20.0
-        assert sum(merged.values()) < combined_total
-
-
 class TestMergeRule:
     """A merge reports the largest threshold of its reduction and its
     inputs, and the inputs' total mass."""
@@ -258,6 +264,15 @@ class TestMergeRule:
         reduced = merge_unbiased([r1, r2], 4, rng=np.random.default_rng(2))
         assert reduced.t == r1.t + r2.t
         assert reduced.threshold >= max(r1.threshold, r2.threshold)
+
+    def test_nan_threshold_survives_the_merge(self):
+        # a reduced bottom-k sample has no N_min analogue: a merge that
+        # takes it in has none either, and its intervals stay NaN
+        bk = bottomk_from_counts(np.arange(50), np.ones(50), 10, np.random.default_rng(0))
+        exact = reduce_counts(np.arange(50, 60), np.ones(10), 20, np.random.default_rng(1))
+        for inputs in ([exact, bk], [bk, exact]):
+            res = merge_unbiased(inputs, 100, rng=np.random.default_rng(2))
+            assert math.isnan(res.threshold) and math.isnan(res.subset_sum_ci({0})[1])
 
     def test_final_merge_follows_the_same_rule(self):
         r1 = reduce_counts(np.arange(40), np.arange(1.0, 41), 5, np.random.default_rng(0))

@@ -2,10 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.sampling.priority import (
-    inclusion_pseudo_probs,
-    priority_sample,
-)
+from repro.core.result import CountSketchResult
+from repro.sampling.priority import priority_sample
 
 
 def _weights(seed=0, n=60):
@@ -18,7 +16,7 @@ class TestStructure:
         items = np.arange(3)
         w = np.asarray([1.0, 2, 3])
         ps = priority_sample(items, w, 5, np.random.default_rng(0))
-        assert ps.tau == 0.0
+        assert ps.threshold == 0.0
         assert (ps.estimates == w).all()
 
     def test_sample_size(self):
@@ -29,14 +27,16 @@ class TestStructure:
     def test_estimates_at_least_weight_or_tau(self):
         w, g = _weights(1)
         ps = priority_sample(np.arange(len(w)), w, 10, g)
-        assert (ps.estimates >= ps.weights - 1e-12).all()
-        assert (ps.estimates >= min(ps.tau, ps.estimates.max()) - 1e-12).all()
-        assert np.allclose(ps.estimates, np.maximum(ps.weights, ps.tau))
+        kept = w[ps.items]
+        assert (ps.estimates >= kept - 1e-12).all()
+        assert (ps.estimates >= min(ps.threshold, ps.estimates.max()) - 1e-12).all()
+        assert np.allclose(ps.estimates, np.maximum(kept, ps.threshold))
 
-    def test_positive_weights_required(self):
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -1.0])
+    def test_positive_weights_required(self, bad):
         with pytest.raises(ValueError):
             priority_sample(
-                np.arange(2), np.asarray([0.0, 1.0]), 1, np.random.default_rng(0)
+                np.arange(2), np.asarray([bad, 1.0]), 1, np.random.default_rng(0)
             )
 
     def test_misaligned_rejected(self):
@@ -57,7 +57,7 @@ class TestUnbiasedness:
         g = np.random.default_rng(3)
         for _ in range(reps):
             ps = priority_sample(items, w, 12, g)
-            tot += ps.subset_sum(subset)
+            tot += ps.subset_sum(subset)[0]
         assert abs(tot / reps - truth) < 0.05 * truth
 
     def test_total_sum_unbiased_but_noisy(self):
@@ -66,7 +66,7 @@ class TestUnbiasedness:
         items = np.arange(50)
         g = np.random.default_rng(4)
         ests = [
-            priority_sample(items, w, 10, g).subset_sum(set(items.tolist()))
+            priority_sample(items, w, 10, g).subset_sum(set(items.tolist()))[0]
             for _ in range(2000)
         ]
         ests = np.asarray(ests)
@@ -80,20 +80,28 @@ class TestUnbiasedness:
         g = np.random.default_rng(6)
         ests, vars_ = [], []
         for _ in range(2000):
-            ps = priority_sample(items, w, 15, g)
-            ests.append(ps.subset_sum(subset))
-            vars_.append(ps.subset_sum_variance(subset))
+            est, var, _lo, _hi = priority_sample(items, w, 15, g).subset_sum_ci(subset)
+            ests.append(est)
+            vars_.append(var)
         emp_var = np.var(ests)
         mean_est_var = np.mean(vars_)
-        # the plug-in is the Poisson-PPS approximation: right order of magnitude
+        # the eq.-5 plug-in tau**2 * C_S: right order of magnitude
         assert 0.3 * emp_var < mean_est_var < 3.0 * emp_var
 
 
-class TestPseudoProbs:
-    def test_clip_at_one(self):
-        pi = inclusion_pseudo_probs(np.asarray([1.0, 10.0]), 5.0)
-        assert np.allclose(pi, [0.2, 1.0])
+class TestOneResultType:
+    """The sample is a CountSketchResult: estimates ``max(n_i, tau)``,
+    threshold ``tau``, and the total weight as ``t``."""
 
-    def test_tau_zero_all_ones(self):
-        pi = inclusion_pseudo_probs(np.asarray([1.0, 2.0]), 0.0)
-        assert (pi == 1).all()
+    def test_sample_is_a_count_sketch_result(self):
+        w, _ = _weights(7)
+        m = 12
+        ps = priority_sample(np.arange(len(w)), w, m, np.random.default_rng(8))
+        # the same draw, by sorting the priorities
+        q = w / np.random.default_rng(8).random(len(w))
+        tau = np.sort(q)[-(m + 1)]
+        assert isinstance(ps, CountSketchResult)
+        assert ps.threshold == tau
+        assert sorted(ps.items.tolist()) == np.flatnonzero(q > tau).tolist()
+        assert (ps.estimates == np.maximum(w[ps.items], tau)).all()
+        assert ps.t == w.sum()

@@ -13,11 +13,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import spark_sketch
-from repro.core.spark_sketch import (
-    exact_counts,
-    sketch_dataframe,
-    sketch_dataframe_streamwise,
-)
+from repro.core.spark_sketch import exact_counts, sketch_dataframe
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem
 
@@ -131,23 +127,6 @@ class TestSketchDataFrame:
         ]
         se = np.std(ests, ddof=1) / np.sqrt(reps)
         assert abs(np.mean(ests) - true) < 5 * se + 0.05 * true
-
-
-class TestStreamwise:
-    def test_total_and_size(self, spark, li, truth):
-        res = sketch_dataframe_streamwise(li, "l_partkey", 100, seed=0)
-        assert len(res) <= 100
-        assert res.t == truth.sum()
-
-    def test_agrees_with_production_path(self, spark, li, truth):
-        """Both paths estimate the same subset with comparable accuracy."""
-        subset = set(range(1, 301))
-        true = float(truth[truth.index.isin(subset)].sum())
-        a = sketch_dataframe(li, "l_partkey", 300, seed=1)
-        b = sketch_dataframe_streamwise(li, "l_partkey", 300, seed=1)
-        for res in (a, b):
-            est, var, lo, hi = res.subset_sum_ci(subset)
-            assert abs(est - true) < 6 * np.sqrt(max(var, 1.0))
 
 
 class TestEmptyAndEdge:
