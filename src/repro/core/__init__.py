@@ -2,7 +2,7 @@
 
 Modules
 -------
-kernel        Algorithm 1 update kernel (both variants), lazy min set
+kernel        Algorithm 1 update kernel (both variants), lazy min-bin list
 space_saving  High-level Deterministic / Unbiased Space Saving sketch API
 result        CountSketchResult: the one query type (subset sums, CIs, top-k)
 exact         Exact-enumeration reference implementation (Theorem 1/2 tests)

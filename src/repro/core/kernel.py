@@ -12,22 +12,26 @@ Algorithm 1 needs only two things from its summary structure: the
 minimum count ``N_min`` and a uniformly random bin holding it (the
 tie-breaking randomization of section 6.1). So instead of the sorted
 stream-summary of Metwally et al. (2005), the kernel keeps a plain list
-of bin counts and one lazy *min set*: a :class:`RandomBag` of exactly
-the bins whose count is ``min_val``.
+of bin counts and one lazy candidate list ``mins``: the bins that were
+at ``min_val`` at the last scan, some of which may have risen since.
 
-* A hit increments the bin's count, and touches the min set only when
-  the bin was at ``min_val``: it leaves the set.
-* A miss draws a uniform bin from the min set, relabels it (always, or
-  with probability ``1/(N_min+1)``), sets its count to ``min_val + 1``
-  and removes it from the set.
-* When the set empties, every bin is above ``min_val``; one O(m) scan of
-  the counts finds the new minimum and refills the set. ``min_val``
-  never decreases and stays <= t/m, so all scans together cost at most
-  t + m and each row stays O(1) amortized.
+* A hit increments the bin's count and does nothing else.
+* A miss swap-pops a uniformly drawn entry of ``mins``. An entry whose
+  count is no longer ``min_val`` is stale, and the miss draws again.
+  Every bin at ``min_val`` is in ``mins`` exactly once, so the accepted
+  bin is uniform over the bins at ``N_min``. The miss relabels it
+  (always, or with probability ``1/(N_min+1)``) and sets its count to
+  ``min_val + 1``.
+* When ``mins`` is empty, no bin is at ``min_val``; the miss scans the
+  counts once for the new minimum and the bins at it. ``min_val`` never
+  decreases and stays <= t/m, and each entry is added once per scan and
+  removed once, so all scans and draws together cost at most t + m and
+  each row stays O(1) amortized.
 
-Until the m-th distinct item claims a bin there is no displacement, so
-the fill phase runs as its own loop without min tracking, and the first
-scan happens when the sketch becomes full.
+``min_val`` lags behind the minimum between scans, so :attr:`n_min`
+scans the counts. Until the m-th distinct item claims a bin there is no
+displacement, so the fill phase runs as its own loop, and the first
+scan happens at the first miss of a full sketch.
 
 The update loop is deliberately a tight pure-Python loop: Space Saving
 updates are order-dependent, so the stream cannot be vectorized without
@@ -38,45 +42,6 @@ from __future__ import annotations
 
 import random
 from typing import Hashable, Iterable
-
-
-class RandomBag:
-    """A multiset-free bag of distinct keys with O(1) add / discard /
-    indexing, so ``bag[rng.randrange(len(bag))]`` is a uniform draw.
-
-    Backed by a list plus a key -> position map; removal swap-pops the
-    last element so all operations are constant time.
-    """
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self) -> None:
-        self._items: list = []
-        self._pos: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key) -> bool:
-        return key in self._pos
-
-    def __getitem__(self, i: int):
-        """The element at position ``i`` of the bag's arbitrary order."""
-        return self._items[i]
-
-    def add(self, key) -> None:
-        """Insert ``key``; must not already be present."""
-        self._pos[key] = len(self._items)
-        self._items.append(key)
-
-    def discard(self, key) -> None:
-        """Remove ``key``; must be present."""
-        items, pos = self._items, self._pos
-        i = pos.pop(key)
-        last = items.pop()
-        if i < len(items):  # key was not the tail: swap the tail in
-            items[i] = last
-            pos[last] = i
 
 
 class SpaceSavingKernel:
@@ -92,9 +57,7 @@ class SpaceSavingKernel:
         tie-breaking, so a seed keeps runs reproducible.
     """
 
-    __slots__ = (
-        "m", "rng", "bin_of", "item_of", "counts", "min_set", "min_val", "t",
-    )
+    __slots__ = ("m", "rng", "bin_of", "item_of", "counts", "mins", "min_val", "t")
 
     #: label-replacement rule: ``True`` replaces the label with probability
     #: ``1/(N_min+1)`` (Unbiased Space Saving); a subclass sets ``False``
@@ -109,21 +72,9 @@ class SpaceSavingKernel:
         self.bin_of: dict = {}        # item -> bin index
         self.item_of: list = []       # bin index -> item
         self.counts: list[int] = []   # bin index -> count
-        self.min_set = RandomBag()    # bins whose count is min_val (once full)
-        self.min_val: int = 0         # min count over the bins (0 until full)
+        self.mins: list[int] = []     # bins at min_val at the last scan
+        self.min_val: int = 0         # min count at the last scan (0 before it)
         self.t: int = 0               # rows processed
-
-    # -- internal ----------------------------------------------------------
-
-    def _rescan_min(self) -> int:
-        """Refill the empty min set with one O(m) scan of ``counts``."""
-        counts = self.counts
-        mv = self.min_val = min(counts)
-        add = self.min_set.add
-        for b, c in enumerate(counts):
-            if c == mv:
-                add(b)
-        return mv
 
     # -- public API --------------------------------------------------------
 
@@ -156,40 +107,37 @@ class SpaceSavingKernel:
                 counts.append(1)
                 bin_of[x] = b
                 if b + 1 == m:
-                    self._rescan_min()
                     break
 
         # steady phase: the sketch is full, unless ``rows`` ran out above
+        mins = self.mins
         mv = self.min_val
-        min_set = self.min_set
-        mins = min_set._items
-        discard = min_set.discard
-        rescan = self._rescan_min
         unbiased = self.unbiased
-        rng = self.rng
-        rnd = rng.random
-        randrange = rng.randrange
+        rnd = self.rng.random
         for x in rows:
             t += 1
             b = bin_of.get(x)
             if b is not None:
-                c = counts[b]
-                counts[b] = c + 1
-                if c != mv:
-                    continue
-            else:
-                b = mins[randrange(len(mins))]
-                # replace the label with probability p: always for the
-                # deterministic variant, 1/(N_min+1) for the unbiased one.
-                if (not unbiased) or rnd() * (mv + 1) < 1.0:
-                    del bin_of[item_of[b]]
-                    bin_of[x] = b
-                    item_of[b] = x
-                counts[b] = mv + 1
-            # b has left min_val
-            discard(b)
-            if not mins:
-                mv = rescan()
+                counts[b] += 1
+                continue
+            # draw a uniform bin at N_min, redrawing past stale entries
+            while True:
+                if not mins:
+                    mv = self.min_val = min(counts)
+                    mins.extend([b for b, c in enumerate(counts) if c == mv])
+                i = int(rnd() * len(mins))
+                b = mins[i]
+                mins[i] = mins[-1]
+                mins.pop()
+                if counts[b] == mv:
+                    break
+            # replace the label with probability p: always for the
+            # deterministic variant, 1/(N_min+1) for the unbiased one.
+            if (not unbiased) or rnd() * (mv + 1) < 1.0:
+                del bin_of[item_of[b]]
+                bin_of[x] = b
+                item_of[b] = x
+            counts[b] = mv + 1
         self.t = t
 
     # -- queries -----------------------------------------------------------
@@ -203,7 +151,8 @@ class SpaceSavingKernel:
     @property
     def n_min(self) -> int:
         """Count of the smallest bin (0 while the sketch is not full)."""
-        return self.min_val
+        counts = self.counts
+        return min(counts) if len(counts) == self.m else 0
 
     def estimates(self) -> dict:
         """item -> estimated count, for every item currently labelled."""

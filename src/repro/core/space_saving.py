@@ -66,7 +66,7 @@ class SpaceSaving(SpaceSavingKernel):
             )
             items = item_array(list(bin_of))
             items.flags.writeable = est.flags.writeable = False
-            self._result = CountSketchResult(items, est, self.min_val, self.t)
+            self._result = CountSketchResult(items, est, self.n_min, self.t)
         return self._result
 
     def to_pandas(self) -> pd.DataFrame:
@@ -84,7 +84,7 @@ class SpaceSaving(SpaceSavingKernel):
         only by the additive ``N_min``; soft-thresholding recovers the
         Misra-Gries counters (zeros dropped).
         """
-        nm = self.min_val
+        nm = self.n_min
         return {x: c - nm for x, c in self.estimates().items() if c - nm > 0}
 
     # -- subset sums (the disaggregated subset sum problem) ----------------

@@ -23,6 +23,9 @@ STREAMS = [
     ([1, 2, 3, 1, 2, 3, 4], 2),
     (list("zzzzy"), 1),
     (list("abab") * 2, 1),
+    # draws from a candidate list that holds stale and valid bins at once
+    (list("abcdaeb"), 3),
+    (list("abcdeaf"), 4),
 ]
 
 

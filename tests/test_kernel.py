@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_state_distribution
-from repro.core.kernel import RandomBag, SpaceSavingKernel
+from repro.core.kernel import SpaceSavingKernel
 from repro.core.space_saving import DeterministicSpaceSaving
 from tests.test_exact_unbiasedness import STREAMS
 
@@ -14,64 +14,6 @@ from tests.test_exact_unbiasedness import STREAMS
 def _kernel(m, unbiased, seed):
     """A kernel of either variant; ``unbiased`` is a class attribute."""
     return (SpaceSavingKernel if unbiased else DeterministicSpaceSaving)(m, seed=seed)
-
-
-class TestRandomBag:
-    def test_add_contains_len(self):
-        b = RandomBag()
-        assert len(b) == 0
-        b.add(3)
-        b.add(7)
-        assert len(b) == 2 and 3 in b and 7 in b and 5 not in b
-
-    def test_discard_middle_and_tail(self):
-        b = RandomBag()
-        for x in range(5):
-            b.add(x)
-        b.discard(2)  # middle: tail swaps in
-        assert len(b) == 4 and 2 not in b and all(x in b for x in [0, 1, 3, 4])
-        b.discard(4)  # tail (after swap, 4 moved into slot 2)
-        assert len(b) == 3 and 4 not in b
-
-    def test_discard_last_element(self):
-        b = RandomBag()
-        b.add("a")
-        b.discard("a")
-        assert len(b) == 0 and "a" not in b
-
-    def test_choice_uniform(self):
-        # a uniform draw indexes the bag, as the kernel does
-        b = RandomBag()
-        for x in range(6):
-            b.add(x)
-        for x in (1, 4):
-            b.discard(x)
-        b.add(6)
-        b.discard(0)
-        rng = random.Random(0)
-        draws = [b[rng.randrange(len(b))] for _ in range(4000)]
-        assert set(draws) == {2, 3, 5, 6}
-        for x in (2, 3, 5, 6):
-            frac = draws.count(x) / 4000
-            assert 0.2 < frac < 0.3  # 4-sigma band around 0.25
-
-    def test_add_discard_stress_against_set(self):
-        b = RandomBag()
-        model = set()
-        rng = random.Random(1)
-        for _ in range(2000):
-            if model and rng.random() < 0.5:
-                x = rng.choice(sorted(model))
-                b.discard(x)
-                model.discard(x)
-            else:
-                x = rng.randrange(100)
-                if x not in model:
-                    b.add(x)
-                    model.add(x)
-            assert len(b) == len(model)
-        for x in model:
-            assert x in b
 
 
 class TestKernelBasics:
@@ -153,23 +95,36 @@ class TestKernelBasics:
         for i in range(2000):
             k.update(rng.randrange(100))
             if len(k.item_of) == k.m:
-                assert k.min_val == min(k.counts)
+                assert k.n_min == min(k.counts) >= k.min_val
 
     @pytest.mark.parametrize("m", [1, 5])
     @pytest.mark.parametrize("unbiased", [True, False])
-    def test_min_set_matches_counts(self, m, unbiased):
-        # once full, after every row the min set is exactly the bins at
-        # min_val, and min_val is the smallest count
+    def test_mins_holds_every_min_bin_once(self, m, unbiased):
+        # once full, after every row every bin at min_val is in mins
+        # exactly once and no count is below min_val: a uniform draw from
+        # mins that rejects stale entries is a uniform bin at N_min
         rng = random.Random(7)
         k = _kernel(m, unbiased, 0)
         for _ in range(1000):
             k.update(rng.randrange(3 * m + 5))
             if len(k.item_of) == k.m:
-                assert k.min_val == min(k.counts)
-                assert sorted(k.min_set) == [
-                    b for b, c in enumerate(k.counts) if c == k.min_val
-                ]
-                assert all(k.min_set[i] == b for b, i in k.min_set._pos.items())
+                assert min(k.counts) >= k.min_val
+                held = Counter(k.mins)
+                assert all(
+                    held[b] == 1 for b, c in enumerate(k.counts) if c == k.min_val
+                )
+
+    def test_queries_read_min_count_not_stale_min_val(self):
+        # d displaces b or c at N_min = 1; hitting the survivor leaves
+        # min_val = 1 with every bin at 2 or more
+        k = DeterministicSpaceSaving(3, seed=0)
+        k.update_many(list("aaabcd"))
+        (survivor,) = {"b", "c"} & set(k.bin_of)
+        assert k.item_of[k.mins[0]] == survivor
+        k.update(survivor)
+        assert k.min_val == 1 and k.n_min == min(k.counts) == 2
+        assert k.result().threshold == 2
+        assert k.misra_gries_view() == {"a": 1}
 
     def test_single_bin(self):
         k = DeterministicSpaceSaving(1, seed=0)
@@ -192,14 +147,14 @@ class TestKernelBasics:
         rng = random.Random(9)
         stream = [rng.randrange(12) for _ in range(400)]
         whole = _kernel(m, unbiased, 3)
-        mins = []
+        min_vals = []
         for x in stream:
             whole.update(x)
-            mins.append(whole.min_val)
+            min_vals.append(whole.min_val)
         distinct = list(dict.fromkeys(stream))
         fill_end = stream.index(distinct[m - 1]) + 1  # row that fills the sketch
         # a row that raises min_val: split just before and just after it
-        rise = next(i for i in range(fill_end + 1, len(stream)) if mins[i] > mins[i - 1])
+        rise = next(i for i in range(fill_end + 1, len(stream)) if min_vals[i] > min_vals[i - 1])
         splits = sorted({fill_end - 1, fill_end, rise, rise + 1, 150, 300})
 
         chunked = _kernel(m, unbiased, 3)
@@ -210,7 +165,7 @@ class TestKernelBasics:
         for k in (chunked, whole):
             assert k.item_of == one.item_of and k.counts == one.counts
             assert k.bin_of == one.bin_of and k.t == one.t
-            assert k.min_val == one.min_val and list(k.min_set) == list(one.min_set)
+            assert k.min_val == one.min_val and k.mins == one.mins
             assert k.rng.getstate() == one.rng.getstate()
 
 

@@ -3,7 +3,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import customer, lineitem, orders, part, zipf_keys
+from repro.synth_data import lineitem, orders, part
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +39,6 @@ class TestOracleAgreement:
             o=o,
         )
 
-    def test_customer_segments(self, spark):
-        c = customer(spark, sf=0.002)
-        got = c.groupBy("c_mktsegment").agg(
-            F.avg("c_acctbal").alias("bal")
-        )
-        assert_equivalent(
-            got,
-            "SELECT c_mktsegment, avg(c_acctbal) AS bal FROM c "
-            "GROUP BY c_mktsegment",
-            c=c,
-        )
-
     def test_part_brand_counts(self, spark):
         p = part(spark, sf=0.002)
         got = p.groupBy("p_brand").agg(
@@ -62,10 +50,3 @@ class TestOracleAgreement:
             "GROUP BY p_brand",
             p=p,
         )
-
-    def test_zipf_keys_skewed(self, spark):
-        z = zipf_keys(spark, n=20_000, n_keys=1000)
-        top = (
-            z.groupBy("k").count().orderBy(F.desc("count")).limit(1).toPandas()
-        )
-        assert top["count"].iloc[0] > 3 * 20_000 / 1000

@@ -2,7 +2,6 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.kernel import RandomBag
 from repro.core.space_saving import (
     DeterministicSpaceSaving,
     UnbiasedSpaceSaving,
@@ -69,25 +68,3 @@ def test_misra_gries_isomorphism_property(stream, m, seed):
     ss = DeterministicSpaceSaving.from_stream(stream, m + 1, seed=seed)
     assert mg.estimates() == ss.misra_gries_view()
     assert mg.decrements == ss.n_min
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=30)),
-        max_size=200,
-    )
-)
-def test_random_bag_model(ops):
-    """RandomBag behaves like a set under interleaved add/discard."""
-    bag = RandomBag()
-    model = set()
-    for is_add, x in ops:
-        if is_add and x not in model:
-            bag.add(x)
-            model.add(x)
-        elif not is_add and x in model:
-            bag.discard(x)
-            model.remove(x)
-        assert len(bag) == len(model)
-        assert (x in bag) == (x in model)
