@@ -3,9 +3,8 @@ the driver merge built on them.
 
 Times ``splitting_pps_sample``, ``priority_sample`` and ``reduce_counts``
 against the number of units n on heavy-tailed (Pareto) weights. The
-splitting sample is timed at the weighted sketch's shape (k = n - 1, a
-single dropped unit) and at k = n / 2 (the ordered pivotal pass); the
-reductions keep a tenth of the units.
+splitting sample keeps half of the units (k = n / 2), and the
+reductions keep a tenth.
 
 The driver merge is timed at the Spark operator's shape in the
 ``spark_lineitem`` benchmark: 16 partition sketches of 1000 items each,
@@ -46,10 +45,9 @@ def _partitions():
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("shape", ["one_drop", "half"])
-def test_splitting_pps_sample(benchmark, n, shape):
+def test_splitting_pps_sample(benchmark, n):
     w = _weights(n)
-    k = n - 1 if shape == "one_drop" else n // 2
+    k = n // 2
     rng = np.random.default_rng(0)
     mask, pi = benchmark(splitting_pps_sample, w, k, rng)
     assert mask.sum() == k and mask[pi == 1].all()

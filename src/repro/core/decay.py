@@ -9,10 +9,10 @@ be rewritten — exactly the property that lets a one-pass weighted
 sketch implement time decay.
 
 Here ``g(a) = exp(lambda * a)`` gives exponential decay with rate
-``lambda``: an item's rows decay by ``exp(-lambda * age)``. Before
-``g`` can overflow, the landmark moves forward to the current time and
-the sketch is scaled by ``exp(-lambda * shift)``; one positive factor
-keeps every estimate unbiased.
+``lambda``: an item's rows decay by ``exp(-lambda * age)``. The
+landmark starts at time 0. Before ``g`` can overflow, it moves forward
+to the current time and the sketch is scaled by ``exp(-lambda *
+shift)``; one positive factor keeps every estimate unbiased.
 
 The decayed weights feed a :class:`WeightedUnbiasedSpaceSaving`, which
 holds them exactly in a dict of up to ``SPILL_FACTOR * m`` items and
@@ -36,15 +36,13 @@ _MAX_EXPONENT = 300.0
 class ForwardDecaySpaceSaving:
     """Exponentially time-decayed unbiased count sketch."""
 
-    def __init__(
-        self, m: int, *, rate: float, landmark: float = 0.0, seed: int | None = None
-    ):
+    def __init__(self, m: int, *, rate: float, seed: int | None = None):
         if rate < 0:
             raise ValueError("decay rate must be >= 0")
         self.rate = rate
-        self.landmark = landmark
+        self.landmark = 0.0
         self._inner = WeightedUnbiasedSpaceSaving(m, seed=seed)
-        self._last_time = landmark
+        self._last_time = 0.0
 
     def add(self, item: Hashable, time: float, weight: float = 1.0) -> None:
         """Add a row for ``item`` stamped ``time`` (monotone non-decreasing)."""
@@ -65,9 +63,7 @@ class ForwardDecaySpaceSaving:
         Each returned value estimates ``sum_rows exp(-rate * age)`` for
         the item's rows, unbiasedly.
         """
-        qt = self._last_time if query_time is None else query_time
-        norm = math.exp(self.rate * (qt - self.landmark))
-        return {x: c / norm for x, c in self._inner.estimates().items()}
+        return self.result(query_time).estimates_dict()
 
     def result(self, query_time: float | None = None) -> CountSketchResult:
         """Decayed snapshot as a :class:`CountSketchResult`."""

@@ -59,6 +59,12 @@ def sum_by_item(
     return uniques, sums
 
 
+#: an exact item -> count map grows to ``SPILL_FACTOR * m`` items before one
+#: unbiased reduction to m: the Spark operator's partition buffer and the
+#: weighted sketch's dict both spill at this cap
+SPILL_FACTOR = 8
+
+
 def reduce_counts(
     items: np.ndarray,
     counts: np.ndarray,

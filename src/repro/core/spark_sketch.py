@@ -45,7 +45,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.merge import merged_result, reduce_counts, sum_by_item
+from repro.core.merge import SPILL_FACTOR, merged_result, reduce_counts, sum_by_item
 from repro.core.result import CountSketchResult
 
 _NUMERIC = (
@@ -183,15 +183,13 @@ def sketch_dataframe(
     *,
     weight_col: str | None = None,
     seed: int = 0,
-    partition_bins: int | None = None,
-    spill_factor: int = 8,
 ) -> CountSketchResult:
     """Build an m-bin unbiased count sketch of ``df`` grouped by ``item_col``.
 
     ``weight_col`` generalizes row counting to arbitrary non-negative
-    per-row metrics (sec 5.3). ``partition_bins`` (default ``m``) bounds
-    each partition's shipped sketch; ``spill_factor * partition_bins``
-    bounds the in-memory exact map between reductions.
+    per-row metrics (sec 5.3). Each partition ships at most ``m`` items;
+    its exact map holds at most :data:`~repro.core.merge.SPILL_FACTOR`
+    ``* m`` items between reductions.
 
     Input contract: the item column must be integral or string
     (``TypeError`` otherwise); rows with a null item are excluded from
@@ -200,12 +198,11 @@ def sketch_dataframe(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    pb = partition_bins or m
-    cap = min(max(spill_factor * pb, pb + 1), 2**31 - 1)
+    cap = min(SPILL_FACTOR * m, 2**31 - 1)  # a Java int
     strings = _item_spark_type(df, item_col) == "string"
     spark = df.sparkSession
     jdf = _runner(spark.sparkContext).sketch(
-        df._jdf, item_col, weight_col, strings, pb, cap,
+        df._jdf, item_col, weight_col, strings, m, cap,
         (seed + 2**63) % 2**64 - 2**63,  # wrapped into a Java long
     )
     records = DataFrame(jdf, spark).collect()

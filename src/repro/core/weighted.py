@@ -32,12 +32,9 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
+from repro.core.merge import SPILL_FACTOR
 from repro.core.result import CountSketchResult, item_array
 from repro.sampling.pps import splitting_pps_sample
-
-#: the dict grows to ``SPILL_FACTOR * m`` items before one reduction to m;
-#: the same factor as ``spark_sketch.sketch_dataframe``'s ``spill_factor``
-SPILL_FACTOR = 8
 
 
 def check_weight(weight) -> None:
@@ -122,8 +119,7 @@ class WeightedUnbiasedSpaceSaving:
 
     def estimates(self) -> dict:
         """item -> unbiased weight estimate, after a reduction to <= m items."""
-        self._reduce()
-        return dict(self._values)
+        return self.result().estimates_dict()
 
     def result(self) -> CountSketchResult:
         """Snapshot as a :class:`CountSketchResult`, after a reduction to <= m."""

@@ -22,7 +22,6 @@ def run_replications(
     schema: str,
     *,
     base_seed: int = 0,
-    partitions: int | None = None,
 ) -> pd.DataFrame:
     """Run ``fn(seed)`` for seeds ``base_seed..base_seed+n_reps-1`` in parallel.
 
@@ -30,7 +29,7 @@ def run_replications(
     carry the seed/replication id if the caller needs it). Results are
     concatenated and returned to the driver.
     """
-    nparts = partitions or spark.sparkContext.defaultParallelism
+    nparts = spark.sparkContext.defaultParallelism
     reps = spark.range(n_reps).repartition(min(nparts, max(1, n_reps)))
 
     def runner(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

@@ -18,7 +18,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.core.variance import pps_reference_variance
+from repro.core.variance import coverage, pps_reference_variance
 from repro.experiments.common import run_replications
 from repro.streams.orders import epoch_of_items, sorted_stream
 from repro.streams.weibull import weibull_counts
@@ -36,7 +36,7 @@ def epoch_setup(
     counts = weibull_counts(n_items, shape=shape, target_total=total)
     counts = np.sort(counts)  # ascending: epoch 0 = rarest items
     epochs = epoch_of_items(len(counts), n_epochs)
-    stream = sorted_stream(counts, ascending=True)
+    stream = sorted_stream(counts)
     truths = np.asarray(
         [counts[epochs == e].sum() for e in range(n_epochs)], dtype=np.float64
     )
@@ -94,9 +94,6 @@ def run(
         pps_sd = float(
             np.sqrt(pps_reference_variance(counts, epochs == e, m))
         )
-        cover = float(
-            np.mean((grp["lo"] <= truth) & (truth <= grp["hi"]))
-        )
         out.append(
             {
                 "epoch": e,
@@ -107,7 +104,7 @@ def run(
                 "estimated_sd": est_sd,
                 "pps_sd": pps_sd,
                 "mean_items_in_sample": float(grp["c_s"].mean()),
-                "coverage": cover,
+                "coverage": coverage(truth, grp["lo"], grp["hi"]),
                 "n_reps": len(grp),
             }
         )

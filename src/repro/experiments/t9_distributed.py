@@ -15,6 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.spark_sketch import exact_counts, sketch_dataframe
+from repro.core.variance import coverage
 from repro.synth_data import lineitem, part
 
 
@@ -73,9 +74,7 @@ def run(
                 "rrmse": float(np.sqrt(np.mean((est - t) ** 2)) / t)
                 if t
                 else 0.0,
-                "coverage": float(
-                    np.mean((grp["lo"] <= t) & (t <= grp["hi"]))
-                ),
+                "coverage": coverage(t, grp["lo"], grp["hi"]),
                 "n_reps": n_reps,
             }
         )

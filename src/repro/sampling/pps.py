@@ -11,11 +11,9 @@ Provides:
   the paper cites for the merge operation.
 
 Both the probabilities and the fixed-size sample cost O(n) after one
-sort. When ``sum(pi) == k == n - 1`` exactly one unit is dropped, and
-it must be dropped with probability ``1 - pi_i``: that is the only
-fixed-size design with these marginals, so it is drawn in closed form.
-The weighted sketch's reduction (:mod:`repro.core.weighted`) draws one
-such sample to cut its ``SPILL_FACTOR * m`` items to m; a kept unit's
+sort, and the pivotal pass draws every sample size k. The weighted
+sketch's reduction (:mod:`repro.core.weighted`) draws one such sample
+to cut its ``SPILL_FACTOR * m`` items to m; a kept unit's
 Horvitz-Thompson value ``x_i / pi_i`` is its unbiased estimate.
 """
 from __future__ import annotations
@@ -66,12 +64,8 @@ def splitting_pps_sample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-size PPS sample with exact marginals, O(n) after one sort.
 
-    When ``sum(pi) == k == n - 1`` the one dropped unit is drawn with
-    probability ``1 - pi_i`` from a cumulative sum (zero weights have
-    ``pi == 0`` and are the ones dropped).
-
-    Otherwise the ordered pivotal method runs: the two-point instance of
-    the Deville-Tille splitting recursion. One unresolved unit is
+    The ordered pivotal method: the two-point instance of the
+    Deville-Tille splitting recursion. One unresolved unit is
     carried; each step pairs it with the next unresolved unit, writes
     the pair's ``pi`` as a mixture in which one of the two is resolved
     to 0 or 1, and flips a coin for the branch. The survivor is carried
@@ -82,16 +76,6 @@ def splitting_pps_sample(
     exactly.
     """
     pi = thresholded_pps_probs(weights, k)
-    n = len(pi)
-    if k == n - 1 and abs(pi.sum() - k) < 1e-9:
-        cum = (1.0 - pi).cumsum()
-        drop = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
-        if drop == n:
-            # rounding put the draw on cum[-1]: the last droppable unit
-            drop = int(cum.searchsorted(cum[-1]))
-        mask = np.ones(n, dtype=bool)
-        mask[drop] = False
-        return mask, pi
     eps = 1e-12
     mask = pi >= 1 - eps
     free = np.flatnonzero((pi > eps) & ~mask)[::-1]

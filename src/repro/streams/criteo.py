@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 #: per-feature cardinalities — product >> plausible row counts, so the
 #: stream stays genuinely disaggregated (most tuples occur few times)
@@ -62,14 +61,6 @@ def impressions_pdf(n_rows: int, *, seed: int = 0) -> pd.DataFrame:
     pdf = pd.DataFrame(cols)
     pdf["click"] = click.astype(np.int64)
     return pdf
-
-
-def impressions(
-    spark: SparkSession, n_rows: int, *, seed: int = 0, partitions: int | None = None
-) -> DataFrame:
-    """The synthetic log as a Spark DataFrame."""
-    df = spark.createDataFrame(impressions_pdf(n_rows, seed=seed))
-    return df.repartition(partitions) if partitions else df
 
 
 def tuple_item_column(pdf: pd.DataFrame) -> pd.Series:

@@ -33,16 +33,13 @@ def permuted_stream(
     return rows
 
 
-def sorted_stream(counts: np.ndarray, *, ascending: bool = True) -> np.ndarray:
-    """Rows grouped per item, items ordered by frequency.
+def sorted_stream(counts: np.ndarray) -> np.ndarray:
+    """Rows grouped per item, items in ascending frequency order.
 
-    Ascending order (rarest items first) is the pathological stream of
-    sec 7.1; descending is the optimally favorable one.
+    Rarest items first: the pathological stream of sec 7.1.
     """
     counts = np.asarray(counts, dtype=np.int64)
     order = np.argsort(counts, kind="stable")
-    if not ascending:
-        order = order[::-1]
     return np.repeat(order.astype(np.int64), counts[order])
 
 

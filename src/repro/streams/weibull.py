@@ -21,29 +21,17 @@ def weibull_quantile(u: np.ndarray, *, shape: float, scale: float = 1.0) -> np.n
     return scale * (-np.log1p(-u)) ** (1.0 / shape)
 
 
-def weibull_counts(
-    n_items: int,
-    *,
-    shape: float,
-    target_total: int | None = None,
-    scale: float | None = None,
-    drop_zeros: bool = True,
-) -> np.ndarray:
+def weibull_counts(n_items: int, *, shape: float, target_total: int) -> np.ndarray:
     """Deterministic skewed count vector for ``n_items`` items.
 
-    Exactly one of ``target_total`` (desired ``sum(counts)``) or
-    ``scale`` must be given. Items are returned in *ascending* count
-    order (grid order); callers choose the stream arrangement.
+    The scale is solved so that ``sum(counts)`` is about
+    ``target_total``; items whose count rounds to zero are dropped.
+    Items are returned in *ascending* count order (grid order); callers
+    choose the stream arrangement.
     """
-    if (target_total is None) == (scale is None):
-        raise ValueError("give exactly one of target_total or scale")
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     u = (np.arange(n_items) + 0.5) / n_items
     base = weibull_quantile(u, shape=shape, scale=1.0)
-    if scale is None:
-        scale = target_total / base.sum()
-    counts = np.round(base * scale).astype(np.int64)
-    if drop_zeros:
-        counts = counts[counts > 0]
-    return counts
+    counts = np.round(base * (target_total / base.sum())).astype(np.int64)
+    return counts[counts > 0]

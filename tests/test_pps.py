@@ -173,7 +173,7 @@ class TestSplittingSample:
         assert abs(tot / reps - w.sum()) < 0.05 * w.sum()
 
     def test_one_dropped_marginals_with_pinned_units(self):
-        # k = n - 1: the closed-form single drop, with two pinned units
+        # k = n - 1: the pivotal pass drops one unit, with two pinned units
         rng = np.random.default_rng(5)
         w = np.asarray([5.0, 6, 7, 8, 100, 200])
         k = len(w) - 1
@@ -193,9 +193,9 @@ class TestSplittingSample:
         "w,k",
         [
             ([0.0, 0.0, 5.0], 2),  # fewer positive weights than k
-            ([0.0, 3.0, 5.0], 2),  # the single drop is the zero
+            ([0.0, 3.0, 5.0], 2),  # k = n - 1: the one drop is the zero
             ([4.0, 0.0, 1.0, 0.0, 2.0], 3),
-            ([0.0, 1.0, 2.0, 0.0, 3.0, 4.0, 0.0], 2),  # pivotal pass
+            ([0.0, 1.0, 2.0, 0.0, 3.0, 4.0, 0.0], 2),  # k well below n
         ],
     )
     def test_zero_weights_never_selected(self, w, k):
@@ -209,13 +209,10 @@ class TestSplittingSample:
     @settings(max_examples=200, deadline=None)
     @given(_weights, st.data(), st.integers(min_value=0, max_value=2**31))
     def test_same_draws_as_frontier_pivotal(self, w, data, seed):
-        # off the single-drop case the design is the pivotal method's,
-        # draw for draw
+        # the design is the pivotal method's, draw for draw, at every k
         w = np.asarray(w)
         k = data.draw(st.integers(min_value=0, max_value=len(w) + 1))
         mask, pi = splitting_pps_sample(w, k, np.random.default_rng(seed))
-        if k == len(w) - 1 and np.isclose(pi.sum(), k):
-            return
         ref = _frontier_pivotal(pi, np.random.default_rng(seed))
         assert (mask == ref).all()
 

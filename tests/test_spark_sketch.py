@@ -65,7 +65,7 @@ class TestSketchDataFrame:
 
     def test_exact_when_m_large(self, spark, li, truth):
         m = len(truth) + 10
-        res = sketch_dataframe(li, "l_partkey", m, seed=2, spill_factor=10**6)
+        res = sketch_dataframe(li, "l_partkey", m, seed=2)
         est = res.estimates_dict()
         assert len(est) == len(truth)
         for item, n in truth.items():

@@ -1,5 +1,4 @@
 """Weighted Unbiased Space Saving tests (sec 5.3 generalization)."""
-import inspect
 import math
 import warnings
 
@@ -265,11 +264,23 @@ class TestState:
             assert len(sk._values) <= SPILL_FACTOR * m
         assert len(sk.result()) <= m and len(sk._values) <= m
 
-    def test_spill_factor_matches_the_spark_operator(self):
-        from repro.core.spark_sketch import sketch_dataframe
+    def test_spill_factor_matches_the_spark_operator(self, spark, monkeypatch):
+        # each partition ships m items and spills past SPILL_FACTOR * m, as
+        # this sketch does
+        from repro.core import spark_sketch
 
-        default = inspect.signature(sketch_dataframe).parameters["spill_factor"].default
-        assert SPILL_FACTOR == default
+        class Handed(Exception):
+            pass
+
+        class Runner:
+            def sketch(self, jdf, item_col, weight_col, strings, bins, cap, seed):
+                raise Handed(bins, cap)
+
+        monkeypatch.setattr(spark_sketch, "_runner", lambda sc: Runner())
+        df = spark.createDataFrame([(1,), (2,)], "k long")
+        with pytest.raises(Handed) as handed:
+            spark_sketch.sketch_dataframe(df, "k", 7)
+        assert handed.value.args == (7, SPILL_FACTOR * 7)
 
     def test_tuple_keys_result(self):
         sk = WeightedUnbiasedSpaceSaving(4, seed=0)
