@@ -89,6 +89,13 @@ class TestArrangements:
         assert sizes == sorted(sizes)
         assert len(rows) == self.COUNTS.sum()
 
+    def test_sorted_rarest_first(self):
+        # the rarest items lead, tied counts keep id order, the heaviest
+        # item closes the stream
+        rows = sorted_stream(self.COUNTS)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [1, 3] + [0] * 3 + [2] * 4 + [4] * 5
+
     def test_two_phase_disjoint(self):
         rng = np.random.default_rng(2)
         c1 = np.asarray([5, 5])
