@@ -22,8 +22,6 @@ def main() -> None:
     spark = get_session(module)
     pd.set_option("display.width", 220)
     out = exp.run(spark, **params(args.table, args.scale))
-    if args.table == "t1":
-        out = exp.summarize(out), out
     write_tables(args.table, args.scale, *(out if isinstance(out, tuple) else (out,)))
     spark.stop()
 

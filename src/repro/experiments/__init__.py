@@ -1,9 +1,13 @@
 """Experiment harnesses — one module per reproduced table (see DESIGN.md).
 
 Each module exposes ``run(spark, **scale-params)`` returning the
-table's frame(s). ``scales.py`` holds each table's parameters and CSV
+table's frame, or its frames in the order of their CSV names in
+``scales.TABLES``. ``scales.py`` holds each table's parameters and CSV
 names; ``jobs/run.py --table tN`` runs any table under spark-submit and
 ``benchmarks/test_bench_tN_*.py`` under pytest-benchmark, both writing
 ``results/`` through ``scales.write_tables``. Monte-Carlo replications
-run in parallel across cores via Spark (``common.py``).
+run in parallel across cores via Spark, and every table measures them
+the same way (``common.py``): one row format, ``replication_rows``, and
+one per-query summary of bias, RRMSE, SD and CI coverage,
+``query_summary``. A table adds only its own bucketing of queries.
 """

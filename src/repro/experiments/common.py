@@ -1,10 +1,15 @@
-"""Shared experiment machinery: parallel replication and error metrics.
+"""Shared experiment machinery: parallel replication, one row format and
+one per-query error summary.
 
-Monte-Carlo replications of a stream+sketch pipeline are embarrassingly
-parallel; :func:`run_replications` fans a per-seed function out over the
-local cores with ``spark.range(...).mapInPandas`` (DataFrame API; the
-closure ships via cloudpickle), collecting each replication's rows into
-one pandas frame.
+Every table is Monte-Carlo replications of per-query estimates.
+:func:`run_replications` fans a per-seed function out over the local
+cores with ``spark.range(...).mapInPandas`` (DataFrame API; the closure
+ships via cloudpickle), collecting each replication's rows into one
+pandas frame. Each replication packs its estimates with
+:func:`replication_rows` into the long format of :data:`ROW_SCHEMA`;
+:func:`query_summary` turns those rows into bias, RRMSE, SD and (where
+the rows carry intervals) coverage per (method, query). The tables add
+only their own bucketing.
 """
 from __future__ import annotations
 
@@ -14,20 +19,26 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.variance import coverage
+
+#: schema of :func:`replication_rows` frames; a table whose rows carry more
+#: columns (``lo``/``hi``, an eq.-5 ``var``) appends them to this string
+ROW_SCHEMA = "seed long, method string, query long, est double"
+
 
 def run_replications(
     spark: SparkSession,
     n_reps: int,
     fn: Callable[[int], pd.DataFrame],
-    schema: str,
+    schema: str = ROW_SCHEMA,
     *,
     base_seed: int = 0,
 ) -> pd.DataFrame:
     """Run ``fn(seed)`` for seeds ``base_seed..base_seed+n_reps-1`` in parallel.
 
-    ``fn`` returns a pandas frame matching ``schema`` (every row should
-    carry the seed/replication id if the caller needs it). Results are
-    concatenated and returned to the driver.
+    ``fn`` returns a pandas frame matching ``schema``, by default the
+    :func:`replication_rows` format. Results are concatenated and
+    returned to the driver.
     """
     nparts = spark.sparkContext.defaultParallelism
     reps = spark.range(n_reps).repartition(min(nparts, max(1, n_reps)))
@@ -48,6 +59,61 @@ def rrmse(estimates: np.ndarray, truth: float) -> float:
     if truth == 0:
         raise ValueError("RRMSE undefined for a zero true value")
     return float(np.sqrt(np.mean((est - truth) ** 2)) / truth)
+
+
+def replication_rows(seed: int, by_method: dict[str, dict]) -> pd.DataFrame:
+    """Pack one replication's per-query values into long rows.
+
+    ``by_method`` maps each method to its columns, each a sequence with
+    one value per query: ``est`` always, ``lo``/``hi`` where the table
+    has intervals, and any other per-query value the table keeps. Rows
+    are ``seed, method, query`` followed by those columns, method by
+    method in the order given.
+    """
+    return pd.concat(
+        [
+            pd.DataFrame(
+                {
+                    "seed": seed,
+                    "method": method,
+                    "query": np.arange(len(cols["est"])),
+                    **cols,
+                }
+            )
+            for method, cols in by_method.items()
+        ],
+        ignore_index=True,
+    )
+
+
+def query_summary(rows: pd.DataFrame, truths: np.ndarray) -> pd.DataFrame:
+    """Error of each (method, query) over its replications' rows.
+
+    ``truths[q]`` is query ``q``'s exact answer. One row per (method,
+    query), sorted by both: ``truth``, ``mean_est``, ``rel_bias``,
+    ``rrmse``, ``empirical_sd`` (ddof=1), ``coverage`` when ``rows``
+    carry ``lo``/``hi``, and ``n_reps``. A zero truth raises
+    ``ValueError`` (through :func:`rrmse`).
+    """
+    out = []
+    for (method, query), grp in rows.groupby(["method", "query"]):
+        est, truth = grp["est"], float(truths[query])
+        err = rrmse(est.to_numpy(), truth)  # raises before rel_bias divides
+        mean = float(est.mean())
+        rec = {
+            "method": method,
+            "query": query,
+            "truth": truth,
+            "mean_est": mean,
+            "rel_bias": (mean - truth) / truth,
+            "rrmse": err,
+            "empirical_sd": float(est.std(ddof=1)),
+        }
+        if "lo" in grp:
+            rec["coverage"] = coverage(truth, grp["lo"], grp["hi"])
+        rec["n_reps"] = len(grp)
+        out.append(rec)
+    return pd.DataFrame(out)
 
 
 def draw_subsets(

@@ -103,7 +103,12 @@ def write_tables(table: str, scale: str, *frames: pd.DataFrame) -> None:
 
 
 def get_session(app: str) -> SparkSession:
-    """Session for spark-submit jobs (mirrors conftest.py settings)."""
+    """Session for spark-submit jobs and the test suite's ``spark`` fixture.
+
+    Broadcast joins are disabled so that joins exercise the shuffle path
+    at SF ~0.1; a query that wants a broadcast join sets the threshold
+    back for itself.
+    """
     return (
         SparkSession.builder.appName(app)
         .config(

@@ -4,18 +4,21 @@ A sweep fixes a discretized-Weibull count vector, a set of random item
 subsets (the paper's arbitrary filter conditions), and compares methods
 by the relative root mean squared error (RRMSE) of each subset-sum
 estimate across Monte-Carlo replications, bucketed by the subset's true
-count (the x-axis of Figures 3-5).
+count (the x-axis of Figures 3-5). Replications pack their estimates
+with ``common.replication_rows``; :func:`summarize` buckets
+``common.query_summary``'s per-subset RRMSE.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.experiments.common import bucket_by_quantile, draw_subsets, rrmse
+from repro.experiments.common import (
+    bucket_by_quantile,
+    draw_subsets,
+    query_summary,
+)
 from repro.streams.weibull import weibull_counts
-
-#: schema of per-replication estimate rows produced by sweep workers
-EST_SCHEMA = "seed long, subset_id long, method string, est double"
 
 
 def sweep_config(
@@ -39,25 +42,6 @@ def sweep_config(
     }
 
 
-def estimates_rows(
-    seed: int, estimates_by_method: dict[str, np.ndarray]
-) -> pd.DataFrame:
-    """Pack one replication's per-subset estimates into EST_SCHEMA rows."""
-    frames = []
-    for method, est in estimates_by_method.items():
-        frames.append(
-            pd.DataFrame(
-                {
-                    "seed": seed,
-                    "subset_id": np.arange(len(est)),
-                    "method": method,
-                    "est": np.asarray(est, dtype=np.float64),
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
-
-
 def summarize(
     rows: pd.DataFrame,
     truths: np.ndarray,
@@ -68,31 +52,38 @@ def summarize(
 ) -> pd.DataFrame:
     """RRMSE per method, bucketed by the subset's true-count fraction.
 
-    Returns one row per (method, bucket): the mean true fraction of the
-    bucket's subsets, mean/median RRMSE, and the replication count.
+    ``rows`` are :func:`~repro.experiments.common.replication_rows` with
+    one query per subset. Returns one row per (method, bucket): the mean
+    true fraction of the bucket's subsets, mean/median RRMSE, and the
+    replication count, then ``extra``. Each other method's mean RRMSE
+    over Unbiased Space Saving's, when both are present, is one more
+    column per bucket, ``<method>_over_uss``.
     """
     bucket_idx, _ = bucket_by_quantile(truths, n_buckets)
+    per_query = query_summary(rows, truths)
+    per_query["bucket"] = bucket_idx[per_query["query"]]
     out = []
-    for method, grp in rows.groupby("method"):
-        per_subset = grp.groupby("subset_id")["est"].apply(
-            lambda v: rrmse(v.to_numpy(), truths[v.name])
-        )
-        n_reps = grp.groupby("subset_id")["est"].size().max()
-        for b in range(n_buckets):
-            sids = np.flatnonzero(bucket_idx == b)
-            sel = per_subset.loc[per_subset.index.isin(sids)]
-            if sel.empty:
-                continue
-            row = {
-                "method": method,
-                "bucket": b,
-                "true_frac": float(truths[sids].mean() / total),
-                "rrmse_mean": float(sel.mean()),
-                "rrmse_median": float(sel.median()),
-                "n_subsets": len(sel),
-                "n_reps": int(n_reps),
-            }
-            if extra:
-                row.update(extra)
-            out.append(row)
-    return pd.DataFrame(out)
+    for (method, b), grp in per_query.groupby(["method", "bucket"]):
+        row = {
+            "method": method,
+            "bucket": b,
+            "true_frac": float(truths[bucket_idx == b].mean() / total),
+            "rrmse_mean": float(grp["rrmse"].mean()),
+            "rrmse_median": float(grp["rrmse"].median()),
+            "n_subsets": len(grp),
+            "n_reps": int(grp["n_reps"].max()),
+        }
+        if extra:
+            row.update(extra)
+        out.append(row)
+    tab = pd.DataFrame(out)
+    piv = tab.pivot_table(index="bucket", columns="method", values="rrmse_mean")
+    if "unbiased_ss" in piv:
+        for method in piv.columns.drop("unbiased_ss"):
+            ratio = piv[method] / piv["unbiased_ss"]
+            tab = tab.merge(
+                ratio.rename(f"{method}_over_uss").reset_index(),
+                on="bucket",
+                how="left",
+            )
+    return tab

@@ -29,8 +29,9 @@ def run(
     m: int = 100,
     n_reps: int = 200,
     seed: int = 0,
-) -> pd.DataFrame:
-    """Per-item empirical vs theoretical PPS inclusion probabilities."""
+) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Returns (:func:`summarize`'s decile table, the per-item frame of
+    empirical vs theoretical PPS inclusion probabilities)."""
     counts = weibull_counts(n_items, shape=shape, target_total=total)
     pi_pps = thresholded_pps_probs(counts, m)
 
@@ -39,8 +40,7 @@ def run(
         stream = permuted_stream(counts, rng)
         sk = UnbiasedSpaceSaving.from_stream(stream.tolist(), m, seed=rep_seed)
         inc = np.zeros(len(counts), dtype=np.int64)
-        for item in sk.estimates():
-            inc[item] = 1
+        inc[sk.result().items] = 1
         return pd.DataFrame(
             {"item": np.arange(len(counts)), "included": inc}
         )
@@ -58,7 +58,7 @@ def run(
         }
     )
     out["n_reps"] = n_reps
-    return out
+    return summarize(out), out
 
 
 def summarize(per_item: pd.DataFrame, *, n_buckets: int = 10) -> pd.DataFrame:

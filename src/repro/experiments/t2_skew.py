@@ -13,13 +13,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import run_replications
-from repro.experiments.subset_sweep import (
-    EST_SCHEMA,
-    estimates_rows,
-    summarize,
-    sweep_config,
-)
+from repro.experiments.common import replication_rows, run_replications
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.streams.orders import permuted_stream
 
 
@@ -55,10 +50,10 @@ def run(
                 stream.tolist(), m, seed=rep_seed
             )
             est = np.asarray([sk.subset_sum(s)[0] for s in subset_sets])
-            return estimates_rows(rep_seed, {"unbiased_ss": est})
+            return replication_rows(rep_seed, {"unbiased_ss": {"est": est}})
 
         rows = run_replications(
-            spark, n_reps, one_rep, EST_SCHEMA, base_seed=seed + shape_i * 10_000
+            spark, n_reps, one_rep, base_seed=seed + shape_i * 10_000
         )
         tab = summarize(
             rows, cfg["truths"], cfg["total"], extra={"shape": shape}

@@ -12,13 +12,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import run_replications
-from repro.experiments.subset_sweep import (
-    EST_SCHEMA,
-    estimates_rows,
-    summarize,
-    sweep_config,
-)
+from repro.experiments.common import replication_rows, run_replications
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.sampling.bottomk import bottomk_from_counts
 from repro.streams.orders import permuted_stream
 
@@ -54,18 +49,9 @@ def run(
         uss = np.asarray([sk.subset_sum(s)[0] for s in subset_sets])
         bk = bottomk_from_counts(item_ids, counts, m, rng)
         bot = np.asarray([bk.subset_sum(s)[0] for s in subset_sets])
-        return estimates_rows(rep_seed, {"unbiased_ss": uss, "bottomk": bot})
+        return replication_rows(
+            rep_seed, {"unbiased_ss": {"est": uss}, "bottomk": {"est": bot}}
+        )
 
-    rows = run_replications(spark, n_reps, one_rep, EST_SCHEMA, base_seed=seed)
-    tab = summarize(rows, cfg["truths"], cfg["total"], extra={"shape": shape})
-    piv = tab.pivot_table(
-        index="bucket", columns="method", values="rrmse_mean"
-    )
-    tab = tab.merge(
-        (piv["bottomk"] / piv["unbiased_ss"])
-        .rename("bottomk_over_uss")
-        .reset_index(),
-        on="bucket",
-        how="left",
-    )
-    return tab
+    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
+    return summarize(rows, cfg["truths"], cfg["total"], extra={"shape": shape})

@@ -15,13 +15,12 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import run_replications, rrmse
-from repro.experiments.subset_sweep import (
-    EST_SCHEMA,
-    estimates_rows,
-    summarize,
-    sweep_config,
+from repro.experiments.common import (
+    query_summary,
+    replication_rows,
+    run_replications,
 )
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.sampling.priority import priority_sample
 from repro.streams.orders import permuted_stream
 
@@ -60,28 +59,17 @@ def run(
         ps = priority_sample(item_ids, counts, m, rng)
         pri = [ps.subset_sum(s)[0] for s in subset_sets]
         pri.append(ps.subset_sum(everything)[0])
-        return estimates_rows(
-            rep_seed,
-            {"unbiased_ss": np.asarray(uss), "priority": np.asarray(pri)},
+        return replication_rows(
+            rep_seed, {"unbiased_ss": {"est": uss}, "priority": {"est": pri}}
         )
 
-    rows = run_replications(spark, n_reps, one_rep, EST_SCHEMA, base_seed=seed)
+    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
     total_id = len(subset_sets)  # the appended grand-total query
-    total_rows = rows[rows["subset_id"] == total_id]
-    rows = rows[rows["subset_id"] < total_id]
-    tab = summarize(rows, cfg["truths"], cfg["total"], extra={"shape": shape})
-    piv = tab.pivot_table(index="bucket", columns="method", values="rrmse_mean")
-    tab = tab.merge(
-        (piv["priority"] / piv["unbiased_ss"])
-        .rename("priority_over_uss")
-        .reset_index(),
-        on="bucket",
-        how="left",
+    is_total = rows["query"] == total_id
+    tab = summarize(
+        rows[~is_total], cfg["truths"], cfg["total"], extra={"shape": shape}
     )
-    totals = (
-        total_rows.groupby("method")["est"]
-        .apply(lambda v: rrmse(v.to_numpy(), cfg["total"]))
-        .rename("total_rrmse")
-        .reset_index()
-    )
+    totals = query_summary(
+        rows[is_total], np.append(cfg["truths"], cfg["total"])
+    )[["method", "rrmse"]].rename(columns={"rrmse": "total_rrmse"})
     return tab, totals

@@ -18,7 +18,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import run_replications
+from repro.experiments.common import (
+    query_summary,
+    replication_rows,
+    run_replications,
+)
 from repro.sampling.priority import priority_sample
 from repro.streams.criteo import (
     N_FEATURES,
@@ -119,61 +123,38 @@ def run(
     def one_rep(rep_seed: int) -> pd.DataFrame:
         rng = np.random.default_rng(rep_seed)
         sk = UnbiasedSpaceSaving.from_stream(items.tolist(), m, seed=rep_seed)
-        sk_items = np.asarray(list(sk.estimates().keys()), dtype=np.int64)
-        sk_vals = np.asarray(list(sk.estimates().values()), dtype=np.float64)
-        uss = _eval_queries(sk_items, sk_vals, queries)
+        res = sk.result()
+        uss = _eval_queries(res.items, res.estimates, queries)
         ps = priority_sample(agg_items, agg_counts, m, rng)
-        pri = _eval_queries(
-            ps.items.astype(np.int64), ps.estimates, queries
+        pri = _eval_queries(ps.items, ps.estimates, queries)
+        return replication_rows(
+            rep_seed, {"unbiased_ss": {"est": uss}, "priority": {"est": pri}}
         )
-        frames = []
-        for method, est in (("unbiased_ss", uss), ("priority", pri)):
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "seed": rep_seed,
-                        "qid": np.arange(len(queries)),
-                        "method": method,
-                        "est": est,
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
 
-    rows = run_replications(
-        spark, n_reps, one_rep, "seed long, qid long, method string, est double",
-        base_seed=seed,
-    )
+    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
     frac = truths / total
     bucket = np.clip(
         np.searchsorted(FRACTION_EDGES, frac, side="right") - 1,
         0,
         len(FRACTION_EDGES) - 2,
     )
+    per_query = query_summary(rows, truths)
+    per_query["bucket"] = bucket[per_query["query"]]
     out = []
-    for method, grp in rows.groupby("method"):
-        rel_mse = grp.groupby("qid")["est"].apply(
-            lambda v: float(np.mean((v.to_numpy() - truths[v.name]) ** 2))
-            / truths[v.name] ** 2
+    for (method, b), grp in per_query.groupby(["method", "bucket"]):
+        out.append(
+            {
+                "method": method,
+                "bucket": b,
+                "frac_lo": FRACTION_EDGES[b],
+                "frac_hi": FRACTION_EDGES[b + 1],
+                "mean_true_frac": float(frac[grp["query"]].mean()),
+                "rel_mse_mean": float((grp["rrmse"] ** 2).mean()),
+                "rel_rmse_mean": float(grp["rrmse"].mean()),
+                "n_queries": len(grp),
+                "n_reps": int(grp["n_reps"].max()),
+                "m": m,
+                "n_rows": n_rows,
+            }
         )
-        for b in range(len(FRACTION_EDGES) - 1):
-            qids = np.flatnonzero(bucket == b)
-            sel = rel_mse.loc[rel_mse.index.isin(qids)]
-            if sel.empty:
-                continue
-            out.append(
-                {
-                    "method": method,
-                    "bucket": b,
-                    "frac_lo": FRACTION_EDGES[b],
-                    "frac_hi": FRACTION_EDGES[b + 1],
-                    "mean_true_frac": float(frac[qids].mean()),
-                    "rel_mse_mean": float(sel.mean()),
-                    "rel_rmse_mean": float(np.sqrt(sel).mean()),
-                    "n_queries": len(sel),
-                    "n_reps": n_reps,
-                    "m": m,
-                    "n_rows": n_rows,
-                }
-            )
     return pd.DataFrame(out)

@@ -23,15 +23,19 @@ from repro.core.space_saving import (
     UnbiasedSpaceSaving,
 )
 from repro.experiments.common import (
+    ROW_SCHEMA,
     bucket_by_quantile,
     draw_subsets,
+    query_summary,
+    replication_rows,
     run_replications,
-    rrmse,
 )
 from repro.streams.orders import two_phase_stream
 from repro.streams.weibull import weibull_counts
 
-_SCHEMA = "seed long, kind string, key long, method string, value double"
+#: ``kind`` tells the two row sets apart: "inc" rows hold first-half item
+#: ``query``'s inclusion indicator, "est" rows subset ``query``'s estimate
+_SCHEMA = ROW_SCHEMA + ", kind string"
 
 
 def run(
@@ -58,73 +62,49 @@ def run(
         rng = np.random.default_rng(rep_seed)
         stream, _ = two_phase_stream(counts1, counts2, rng)
         stream_list = stream.tolist()
-        out = []
+        inc, est = {}, {}
         for method, cls in (
             ("unbiased_ss", UnbiasedSpaceSaving),
             ("deterministic_ss", DeterministicSpaceSaving),
         ):
             sk = cls.from_stream(stream_list, m, seed=rep_seed)
-            inc = np.zeros(n_first, dtype=np.float64)
-            for item in sk.estimates():
-                if item < n_first:
-                    inc[item] = 1.0
-            out.append(
-                pd.DataFrame(
-                    {
-                        "seed": rep_seed,
-                        "kind": "inc",
-                        "key": np.arange(n_first),
-                        "method": method,
-                        "value": inc,
-                    }
-                )
-            )
-            est = np.asarray([sk.subset_sum(s)[0] for s in subset_sets])
-            out.append(
-                pd.DataFrame(
-                    {
-                        "seed": rep_seed,
-                        "kind": "est",
-                        "key": np.arange(len(subset_sets)),
-                        "method": method,
-                        "value": est,
-                    }
-                )
-            )
-        return pd.concat(out, ignore_index=True)
+            items = sk.result().items
+            included = np.zeros(n_first, dtype=np.float64)
+            included[items[items < n_first]] = 1.0
+            inc[method] = {"est": included}
+            est[method] = {"est": [sk.subset_sum(s)[0] for s in subset_sets]}
+        return pd.concat(
+            [
+                replication_rows(rep_seed, inc).assign(kind="inc"),
+                replication_rows(rep_seed, est).assign(kind="est"),
+            ],
+            ignore_index=True,
+        )
 
     rows = run_replications(spark, n_reps, one_rep, _SCHEMA, base_seed=seed)
 
     inc = rows[rows["kind"] == "inc"]
-    pi = (
-        inc.groupby(["method", "key"])["value"].mean().rename("pi").reset_index()
-    )
-    pi["count"] = counts1[pi["key"].to_numpy()]
+    pi = inc.groupby(["method", "query"])["est"].mean().rename("pi").reset_index()
+    pi["count"] = counts1[pi["query"].to_numpy()]
     idx, _ = bucket_by_quantile(counts1.astype(float), 5)
-    pi["bucket"] = idx[pi["key"].to_numpy()]
+    pi["bucket"] = idx[pi["query"].to_numpy()]
     inclusion_tab = (
         pi.groupby(["method", "bucket"])
         .agg(mean_count=("count", "mean"), pi_empirical=("pi", "mean"))
         .reset_index()
     )
 
-    est = rows[rows["kind"] == "est"]
+    per_subset = query_summary(rows[rows["kind"] == "est"], truths)
     err = []
-    for method, grp in est.groupby("method"):
-        per = grp.groupby("key")["value"].apply(
-            lambda v: rrmse(v.to_numpy(), truths[v.name])
-        )
-        bias = grp.groupby("key")["value"].apply(
-            lambda v: float(v.mean() - truths[v.name]) / truths[v.name]
-        )
+    for method, grp in per_subset.groupby("method"):
         err.append(
             {
                 "method": method,
-                "rrmse_mean": float(per.mean()),
-                "rrmse_median": float(per.median()),
-                "rel_bias_mean": float(bias.mean()),
-                "n_subsets": len(per),
-                "n_reps": n_reps,
+                "rrmse_mean": float(grp["rrmse"].mean()),
+                "rrmse_median": float(grp["rrmse"].median()),
+                "rel_bias_mean": float(grp["rel_bias"].mean()),
+                "n_subsets": len(grp),
+                "n_reps": int(grp["n_reps"].max()),
             }
         )
     return inclusion_tab, pd.DataFrame(err)

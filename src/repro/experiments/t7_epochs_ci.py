@@ -18,21 +18,24 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.core.variance import coverage, pps_reference_variance
-from repro.experiments.common import run_replications
+from repro.core.variance import pps_reference_variance
+from repro.experiments.common import (
+    ROW_SCHEMA,
+    query_summary,
+    replication_rows,
+    run_replications,
+)
 from repro.streams.orders import epoch_of_items, sorted_stream
 from repro.streams.weibull import weibull_counts
 
-_SCHEMA = (
-    "seed long, epoch long, est double, var double, lo double, hi double, "
-    "c_s double"
-)
+_SCHEMA = ROW_SCHEMA + ", var double, lo double, hi double, c_s double"
 
 
 def epoch_setup(
     *, n_items: int, total: int, shape: float, n_epochs: int
 ) -> dict:
-    """Counts (ascending), the sorted stream, and epoch membership."""
+    """Counts (ascending), the sorted stream, epoch membership, each
+    epoch's item set, and each epoch's true total."""
     counts = weibull_counts(n_items, shape=shape, target_total=total)
     counts = np.sort(counts)  # ascending: epoch 0 = rarest items
     epochs = epoch_of_items(len(counts), n_epochs)
@@ -40,9 +43,11 @@ def epoch_setup(
     truths = np.asarray(
         [counts[epochs == e].sum() for e in range(n_epochs)], dtype=np.float64
     )
+    sets = [set(np.flatnonzero(epochs == e).tolist()) for e in range(n_epochs)]
     return {
         "counts": counts,
         "epochs": epochs,
+        "sets": sets,
         "stream": stream,
         "truths": truths,
     }
@@ -67,45 +72,41 @@ def run(
     )
     counts, epochs, truths = cfg["counts"], cfg["epochs"], cfg["truths"]
     stream_arr = cfg["stream"]  # numpy: pickles compactly to the workers
-    epoch_sets = [
-        set(np.flatnonzero(epochs == e).tolist()) for e in range(n_epochs)
-    ]
+    epoch_sets = cfg["sets"]
 
     def one_rep(rep_seed: int) -> pd.DataFrame:
         sk = UnbiasedSpaceSaving.from_stream(
             stream_arr.tolist(), m, seed=rep_seed
         )
-        recs = []
-        for e, s in enumerate(epoch_sets):
-            est, var, lo, hi = sk.subset_sum_ci(s, level=level)
-            _, c_s = sk.subset_sum(s)
-            recs.append((rep_seed, e, est, var, lo, hi, float(c_s)))
-        return pd.DataFrame(
-            recs, columns=["seed", "epoch", "est", "var", "lo", "hi", "c_s"]
-        )
+        recs = [
+            (*sk.subset_sum_ci(s, level=level), float(sk.subset_sum(s)[1]))
+            for s in epoch_sets
+        ]
+        cols = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))
+        return replication_rows(rep_seed, {"unbiased_ss": cols})
 
     rows = run_replications(spark, n_reps, one_rep, _SCHEMA, base_seed=seed)
-    out = []
-    for e in range(n_epochs):
-        grp = rows[rows["epoch"] == e]
-        truth = truths[e]
-        emp_sd = float(grp["est"].std(ddof=1))
-        est_sd = float(np.sqrt(grp["var"]).mean())
-        pps_sd = float(
-            np.sqrt(pps_reference_variance(counts, epochs == e, m))
-        )
-        out.append(
-            {
-                "epoch": e,
-                "truth": float(truth),
-                "mean_est": float(grp["est"].mean()),
-                "rel_bias": float((grp["est"].mean() - truth) / truth),
-                "empirical_sd": emp_sd,
-                "estimated_sd": est_sd,
-                "pps_sd": pps_sd,
-                "mean_items_in_sample": float(grp["c_s"].mean()),
-                "coverage": coverage(truth, grp["lo"], grp["hi"]),
-                "n_reps": len(grp),
-            }
-        )
-    return pd.DataFrame(out)
+    by_epoch = rows.groupby("query")
+    tab = query_summary(rows, truths).assign(
+        epoch=lambda t: t["query"],
+        estimated_sd=by_epoch["var"].apply(lambda v: np.sqrt(v).mean()).to_numpy(),
+        pps_sd=[
+            float(np.sqrt(pps_reference_variance(counts, epochs == e, m)))
+            for e in range(n_epochs)
+        ],
+        mean_items_in_sample=by_epoch["c_s"].apply(lambda v: v.mean()).to_numpy(),
+    )
+    return tab[
+        [
+            "epoch",
+            "truth",
+            "mean_est",
+            "rel_bias",
+            "empirical_sd",
+            "estimated_sd",
+            "pps_sd",
+            "mean_items_in_sample",
+            "coverage",
+            "n_reps",
+        ]
+    ]

@@ -9,7 +9,6 @@ small (< 0.002% of the total) that unbiased overestimation costs more.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -17,10 +16,12 @@ from repro.core.space_saving import (
     DeterministicSpaceSaving,
     UnbiasedSpaceSaving,
 )
-from repro.experiments.common import run_replications, rrmse
+from repro.experiments.common import (
+    query_summary,
+    replication_rows,
+    run_replications,
+)
 from repro.experiments.t7_epochs_ci import epoch_setup
-
-_SCHEMA = "seed long, epoch long, method string, est double"
 
 
 def run(
@@ -38,34 +39,35 @@ def run(
     cfg = epoch_setup(
         n_items=n_items, total=total, shape=shape, n_epochs=n_epochs
     )
-    epochs, truths = cfg["epochs"], cfg["truths"]
+    truths = cfg["truths"]
     stream_arr = cfg["stream"]  # numpy: pickles compactly to the workers
-    epoch_sets = [
-        set(np.flatnonzero(epochs == e).tolist()) for e in range(n_epochs)
-    ]
+    epoch_sets = cfg["sets"]
 
     def one_rep(rep_seed: int) -> pd.DataFrame:
-        recs = []
+        est = {}
         for method, cls in (
             ("unbiased_ss", UnbiasedSpaceSaving),
             ("deterministic_ss", DeterministicSpaceSaving),
         ):
             sk = cls.from_stream(stream_arr.tolist(), m, seed=rep_seed)
-            for e, s in enumerate(epoch_sets):
-                recs.append((rep_seed, e, method, sk.subset_sum(s)[0]))
-        return pd.DataFrame(recs, columns=["seed", "epoch", "method", "est"])
+            est[method] = {"est": [sk.subset_sum(s)[0] for s in epoch_sets]}
+        return replication_rows(rep_seed, est)
 
-    rows = run_replications(spark, n_reps, one_rep, _SCHEMA, base_seed=seed)
-    out = []
-    for e in range(len(epoch_sets)):
-        rec = {"epoch": e, "truth": float(truths[e]),
-               "truth_frac": float(truths[e] / cfg["counts"].sum())}
-        for method, grp in rows[rows["epoch"] == e].groupby("method"):
-            rec[f"rrmse_{method}"] = rrmse(grp["est"].to_numpy(), truths[e])
-        rec["det_over_uss"] = (
-            rec["rrmse_deterministic_ss"] / rec["rrmse_unbiased_ss"]
-            if rec.get("rrmse_unbiased_ss")
-            else float("inf")
-        )
-        out.append(rec)
-    return pd.DataFrame(out)
+    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
+    per_epoch = query_summary(rows, truths).pivot(
+        index="query", columns="method", values="rrmse"
+    )
+    out = pd.DataFrame(
+        {
+            "epoch": per_epoch.index,
+            "truth": truths,
+            "truth_frac": truths / cfg["counts"].sum(),
+        }
+    )
+    for method in per_epoch.columns:
+        out[f"rrmse_{method}"] = per_epoch[method].to_numpy()
+    uss = out["rrmse_unbiased_ss"]
+    out["det_over_uss"] = (out["rrmse_deterministic_ss"] / uss).where(
+        uss != 0, float("inf")
+    )
+    return out

@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.spark_sketch import exact_counts, sketch_dataframe
-from repro.core.variance import coverage
+from repro.experiments.common import query_summary, replication_rows
 from repro.synth_data import lineitem, part
 
 
@@ -40,42 +40,25 @@ def run(
     truth = truth_pdf.set_index("item")["n"]
 
     brands = sorted(pt["p_brand"].unique())
-    brand_sets = {
-        b: set(pt.loc[pt["p_brand"] == b, "p_partkey"].tolist()) for b in brands
-    }
-    truths = {
-        b: float(truth[truth.index.isin(s)].sum()) for b, s in brand_sets.items()
-    }
+    brand_sets = [
+        set(pt.loc[pt["p_brand"] == b, "p_partkey"].tolist()) for b in brands
+    ]
+    truths = np.asarray(
+        [float(truth[truth.index.isin(s)].sum()) for s in brand_sets]
+    )
 
-    recs = []
+    reps = []
     for r in range(n_reps):
         res = sketch_dataframe(
             li, "l_partkey", m, weight_col=weight_col, seed=seed + 1000 * r
         )
-        for b, s in brand_sets.items():
-            est, var, lo, hi = res.subset_sum_ci(s)
-            recs.append(
-                {"rep": r, "brand": b, "est": est, "lo": lo, "hi": hi}
-            )
+        est, _, lo, hi = zip(*(res.subset_sum_ci(s) for s in brand_sets))
+        cols = {"est": est, "lo": lo, "hi": hi}
+        reps.append(replication_rows(r, {"unbiased_ss": cols}))
     li.unpersist()
-    rows = pd.DataFrame(recs)
 
-    out = []
-    for b in brands:
-        grp = rows[rows["brand"] == b]
-        t = truths[b]
-        est = grp["est"].to_numpy()
-        out.append(
-            {
-                "brand": b,
-                "truth": t,
-                "mean_est": float(est.mean()),
-                "rel_bias": float((est.mean() - t) / t) if t else 0.0,
-                "rrmse": float(np.sqrt(np.mean((est - t) ** 2)) / t)
-                if t
-                else 0.0,
-                "coverage": coverage(t, grp["lo"], grp["hi"]),
-                "n_reps": n_reps,
-            }
-        )
-    return pd.DataFrame(out)
+    tab = query_summary(pd.concat(reps, ignore_index=True), truths)
+    tab["brand"] = np.asarray(brands)[tab["query"]]
+    return tab[
+        ["brand", "truth", "mean_est", "rel_bias", "rrmse", "coverage", "n_reps"]
+    ]

@@ -1,4 +1,9 @@
 """Tests for the experiment utility layer (common, sweep, scales, t5)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,15 +11,13 @@ import pytest
 from repro.experiments.common import (
     bucket_by_quantile,
     draw_subsets,
+    query_summary,
+    replication_rows,
     rrmse,
     run_replications,
 )
 from repro.experiments.scales import BENCH, TEST, params
-from repro.experiments.subset_sweep import (
-    estimates_rows,
-    summarize,
-    sweep_config,
-)
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.experiments.t5_criteo import _eval_queries, build_queries
 from repro.streams.criteo import impressions_pdf, tuple_item_column
 
@@ -65,19 +68,122 @@ class TestSweepHelpers:
         for s, t in zip(cfg["subsets"], cfg["truths"]):
             assert cfg["counts"][s].sum() == t
 
-    def test_estimates_rows_schema(self):
-        rows = estimates_rows(3, {"a": np.asarray([1.0, 2.0])})
-        assert list(rows.columns) == ["seed", "subset_id", "method", "est"]
+    def test_replication_rows_schema(self):
+        rows = replication_rows(3, {"a": {"est": np.asarray([1.0, 2.0])}})
+        assert list(rows.columns) == ["seed", "method", "query", "est"]
         assert len(rows) == 2
 
     def test_summarize_exact_estimates_zero_error(self):
         truths = np.asarray([10.0, 20.0, 30.0, 40.0])
         rows = pd.concat(
-            [estimates_rows(s, {"x": truths}) for s in range(3)],
+            [replication_rows(s, {"x": {"est": truths}}) for s in range(3)],
             ignore_index=True,
         )
         tab = summarize(rows, truths, 100.0, n_buckets=2)
         assert (tab["rrmse_mean"] == 0).all()
+
+    def test_summarize_ratio_over_uss_per_other_method(self):
+        truths = np.asarray([10.0, 20.0])
+        rows = pd.concat(
+            [
+                replication_rows(
+                    s,
+                    {
+                        "unbiased_ss": {"est": truths * (1.0 + (-1) ** s * 0.1)},
+                        "other": {"est": truths * (1.0 + (-1) ** s * 0.3)},
+                    },
+                )
+                for s in range(4)
+            ],
+            ignore_index=True,
+        )
+        tab = summarize(rows, truths, 30.0, n_buckets=2)
+        assert tab["other_over_uss"].to_numpy() == pytest.approx([3.0] * 4)
+
+
+class TestQuerySummary:
+    # query 0 (truth 10): estimates 8, 12, 10, 14 -> mean 11, bias 0.1,
+    # RRMSE sqrt((4 + 4 + 0 + 16) / 4) / 10, SD sqrt(20 / 3), and the
+    # truth inside two of the four intervals; query 1 (truth 4) is exact
+    EST = ([8.0, 4.0], [12.0, 4.0], [10.0, 4.0], [14.0, 4.0])
+    LO = ([7.0, 4.0], [9.0, 4.0], [9.0, 4.0], [13.0, 4.0])
+    HI = ([9.0, 4.0], [13.0, 4.0], [11.0, 4.0], [15.0, 4.0])
+    TRUTHS = np.asarray([10.0, 4.0])
+
+    def rows(self, with_ci: bool) -> pd.DataFrame:
+        reps = []
+        for seed, (est, lo, hi) in enumerate(zip(self.EST, self.LO, self.HI)):
+            cols = {"est": est, "lo": lo, "hi": hi} if with_ci else {"est": est}
+            reps.append(replication_rows(seed, {"m": cols}))
+        return pd.concat(reps, ignore_index=True)
+
+    def test_known_errors_without_intervals(self):
+        tab = query_summary(self.rows(False), self.TRUTHS)
+        assert list(tab.columns) == [
+            "method", "query", "truth", "mean_est", "rel_bias", "rrmse",
+            "empirical_sd", "n_reps",
+        ]
+        q0, q1 = tab.iloc[0], tab.iloc[1]
+        assert (q0["truth"], q0["mean_est"]) == (10.0, 11.0)
+        assert q0["rel_bias"] == pytest.approx(0.1)
+        assert q0["rrmse"] == pytest.approx(np.sqrt(6.0) / 10.0)
+        assert q0["empirical_sd"] == pytest.approx(np.sqrt(20.0 / 3.0))
+        assert q0["n_reps"] == 4
+        assert (q1["rel_bias"], q1["rrmse"], q1["empirical_sd"]) == (0.0, 0.0, 0.0)
+
+    def test_coverage_with_intervals(self):
+        tab = query_summary(self.rows(True), self.TRUTHS)
+        assert tab["coverage"].tolist() == [0.5, 1.0]
+        assert tab.columns[-2:].tolist() == ["coverage", "n_reps"]
+
+    def test_one_row_per_method_and_query_sorted(self):
+        rows = pd.concat(
+            [
+                replication_rows(
+                    s, {"b": {"est": [1.0, 2.0]}, "a": {"est": [1.0, 2.0]}}
+                )
+                for s in range(2)
+            ],
+            ignore_index=True,
+        )
+        tab = query_summary(rows, np.asarray([1.0, 2.0]))
+        assert tab[["method", "query"]].values.tolist() == [
+            ["a", 0], ["a", 1], ["b", 0], ["b", 1]
+        ]
+        assert (tab["n_reps"] == 2).all()
+
+    def test_zero_truth_raises(self):
+        rows = replication_rows(0, {"m": {"est": [1.0]}})
+        with pytest.raises(ValueError):
+            query_summary(rows, np.asarray([0.0]))
+
+
+class TestJob:
+    def test_t1_job_writes_both_csvs(self, tmp_path):
+        # jobs/run.py starts its own Spark session, so it runs in a child
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(root / "jobs" / "run.py"),
+             "--table", "t1", "--scale", "test"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        tab = pd.read_csv(tmp_path / "results" / "t1_inclusion_test.csv")
+        items = pd.read_csv(tmp_path / "results" / "t1_inclusion_items_test.csv")
+        assert list(tab.columns) == [
+            "bucket", "mean_count", "pi_pps", "pi_empirical", "n_items", "abs_gap"
+        ]
+        assert list(items.columns) == [
+            "item", "count", "pi_pps", "pi_empirical", "n_reps"
+        ]
+        assert (items["n_reps"] == TEST["t1"]["n_reps"]).all()
 
 
 class TestScales:

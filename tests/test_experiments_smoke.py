@@ -1,9 +1,9 @@
 """Micro-scale runs of every table harness: structure + key claims.
 
-These are the paper's qualitative findings at toy scale; the full-scale
-numbers live in benchmarks/ and EXPERIMENTS.md.
+These are the paper's qualitative findings at toy scale, each run with
+``scales.TEST``'s parameters (the ones ``jobs/run.py --scale test`` uses);
+the full-scale numbers live in benchmarks/ and EXPERIMENTS.md.
 """
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -17,14 +17,14 @@ from repro.experiments import (
     t8_epochs_det,
     t9_distributed,
 )
+from repro.experiments.scales import params
 
 
 class TestT1Inclusion:
     @pytest.fixture(scope="class")
     def per_item(self, spark):
-        return t1_inclusion.run(
-            spark, n_items=300, total=30_000, m=50, n_reps=60, seed=0
-        )
+        _, per_item = t1_inclusion.run(spark, **params("t1", "test"))
+        return per_item
 
     def test_structure(self, per_item):
         assert {"item", "count", "pi_pps", "pi_empirical"} <= set(per_item.columns)
@@ -41,31 +41,14 @@ class TestT1Inclusion:
 
 class TestT2Skew:
     def test_more_skew_less_error(self, spark):
-        tab = t2_skew.run(
-            spark,
-            shapes=(0.3, 2.0),
-            n_items=300,
-            total=40_000,
-            m=60,
-            subset_size=40,
-            n_subsets=12,
-            n_reps=15,
-        )
+        tab = t2_skew.run(spark, **params("t2", "test"))
         mean_by_shape = tab.groupby("shape")["rrmse_mean"].mean()
         assert mean_by_shape[0.3] < mean_by_shape[2.0]
 
 
 class TestT3BottomK:
     def test_uniform_sampling_much_worse(self, spark):
-        tab = t3_bottomk.run(
-            spark,
-            n_items=300,
-            total=40_000,
-            m=50,
-            subset_size=40,
-            n_subsets=12,
-            n_reps=15,
-        )
+        tab = t3_bottomk.run(spark, **params("t3", "test"))
         ratios = tab["bottomk_over_uss"].dropna()
         assert (ratios > 1.0).all()
         assert ratios.max() > 3.0
@@ -73,15 +56,7 @@ class TestT3BottomK:
 
 class TestT4Priority:
     def test_uss_competitive_and_total_exact(self, spark):
-        tab, totals = t4_priority.run(
-            spark,
-            n_items=300,
-            total=40_000,
-            m=60,
-            subset_size=40,
-            n_subsets=12,
-            n_reps=15,
-        )
+        tab, totals = t4_priority.run(spark, **params("t4", "test"))
         by = tab.groupby("method")["rrmse_mean"].mean()
         assert by["unbiased_ss"] < 2.0 * by["priority"]
         t = totals.set_index("method")["total_rrmse"]
@@ -91,7 +66,7 @@ class TestT4Priority:
 
 class TestT5Criteo:
     def test_structure_and_ordering(self, spark):
-        tab = t5_criteo.run(spark, n_rows=15_000, m=400, n_reps=5)
+        tab = t5_criteo.run(spark, **params("t5", "test"))
         assert {"method", "rel_mse_mean", "bucket"} <= set(tab.columns)
         for method, grp in tab.groupby("method"):
             g = grp.sort_values("bucket")
@@ -102,15 +77,7 @@ class TestT5Criteo:
 class TestT6Pathological:
     @pytest.fixture(scope="class")
     def result(self, spark):
-        return t6_pathological.run(
-            spark,
-            n_items_half=200,
-            total_half=20_000,
-            m=40,
-            subset_size=20,
-            n_subsets=8,
-            n_reps=30,
-        )
+        return t6_pathological.run(spark, **params("t6", "test"))
 
     def test_det_forgets_first_half(self, result):
         inc, _ = result
@@ -132,9 +99,7 @@ class TestT6Pathological:
 class TestT7EpochsCI:
     @pytest.fixture(scope="class")
     def tab(self, spark):
-        return t7_epochs_ci.run(
-            spark, n_items=500, total=80_000, m=100, n_epochs=5, n_reps=40
-        )
+        return t7_epochs_ci.run(spark, **params("t7", "test"))
 
     def test_structure(self, tab):
         assert len(tab) == 5
@@ -158,18 +123,14 @@ class TestT7EpochsCI:
 
 class TestT8EpochsDet:
     def test_det_much_worse_on_late_epochs(self, spark):
-        tab = t8_epochs_det.run(
-            spark, n_items=500, total=80_000, m=100, n_epochs=5, n_reps=20
-        )
+        tab = t8_epochs_det.run(spark, **params("t8", "test"))
         late = tab.iloc[-2:]
         assert (late["det_over_uss"] > 1.5).all()
 
 
 class TestT9Distributed:
     def test_unbiased_and_covered(self, spark):
-        tab = t9_distributed.run(
-            spark, sf=0.004, m=150, n_reps=8, n_partitions=8
-        )
+        tab = t9_distributed.run(spark, **params("t9", "test"))
         # average relative bias across brands ~ 0 (unbiased merge)
         assert abs(tab["rel_bias"].mean()) < 0.1
         assert tab["coverage"].mean() >= 0.8
