@@ -2,8 +2,11 @@
 
 Each module exposes ``run(spark, **scale-params)`` returning the
 table's frame, or its frames in the order of their CSV names in
-``scales.TABLES``. ``scales.py`` holds each table's parameters and CSV
-names; ``jobs/run.py --table tN`` runs any table under spark-submit and
+``scales.TABLES``. ``scales.py`` is the one place where a table's
+parameters live (``run()`` takes exactly its table's keys there, with
+no defaults) and names its CSVs; T2-T4 are one experiment,
+``subset_sweep.replicate``, run with different shapes and baselines.
+``jobs/run.py --table tN`` runs any table under spark-submit and
 ``benchmarks/test_bench_tN_*.py`` under pytest-benchmark, both writing
 ``results/`` through ``scales.write_tables``. Monte-Carlo replications
 run in parallel across cores via Spark, and every table measures them

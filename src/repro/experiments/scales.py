@@ -1,12 +1,15 @@
-"""Canonical parameter sets per table, the table's output files, and a
+"""The one parameter book of every table, the table's output files, and a
 spark-submit session helper.
 
+A table's parameters live here and nowhere else: each ``run()`` takes
+exactly its table's keys, keyword-only and with no defaults, and
+whatever a table does not take from here is a constant of its module.
 ``BENCH`` is the scale used for EXPERIMENTS.md numbers (paper scale
 reduced per DESIGN.md substitution #2 — same m/items/rows regime,
 smaller absolutes). ``TEST`` is the micro scale used by the pytest
-smoke tests. ``jobs/run.py`` accepts ``--scale test|bench``; it and the
-``benchmarks/test_bench_t*.py`` targets write their CSVs through
-:func:`write_tables`.
+smoke tests and has the same keys. ``jobs/run.py`` accepts ``--scale
+test|bench``; it and the ``benchmarks/test_bench_t*.py`` targets write
+their CSVs through :func:`write_tables`.
 """
 from __future__ import annotations
 
@@ -70,20 +73,24 @@ TEST: dict[str, dict] = {
         subset_size=40, n_subsets=12, n_reps=15,
     ),
     "t3": dict(
-        n_items=300, total=40_000, m=50, subset_size=40, n_subsets=12,
-        n_reps=15,
+        shape=0.3, n_items=300, total=40_000, m=50, subset_size=40,
+        n_subsets=12, n_reps=15,
     ),
     "t4": dict(
-        n_items=300, total=40_000, m=60, subset_size=40, n_subsets=12,
-        n_reps=15,
+        shape=0.3, n_items=300, total=40_000, m=60, subset_size=40,
+        n_subsets=12, n_reps=15,
     ),
     "t5": dict(n_rows=15_000, m=400, n_reps=5),
     "t6": dict(
-        n_items_half=200, total_half=20_000, m=40, subset_size=20,
+        n_items_half=200, total_half=20_000, shape=0.5, m=40, subset_size=20,
         n_subsets=8, n_reps=30,
     ),
-    "t7": dict(n_items=500, total=80_000, m=100, n_epochs=5, n_reps=40),
-    "t8": dict(n_items=500, total=80_000, m=100, n_epochs=5, n_reps=20),
+    "t7": dict(
+        n_items=500, total=80_000, shape=0.3, m=100, n_epochs=5, n_reps=40
+    ),
+    "t8": dict(
+        n_items=500, total=80_000, shape=0.3, m=100, n_epochs=5, n_reps=20
+    ),
     "t9": dict(sf=0.004, m=150, n_reps=8, n_partitions=8),
 }
 

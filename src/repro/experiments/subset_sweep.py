@@ -1,23 +1,33 @@
-"""Shared logic for the synthetic subset-sum sweeps (Tables T2-T4).
+"""The synthetic subset-sum sweep of Tables T2-T4 (Figures 3-5).
 
-A sweep fixes a discretized-Weibull count vector, a set of random item
-subsets (the paper's arbitrary filter conditions), and compares methods
-by the relative root mean squared error (RRMSE) of each subset-sum
-estimate across Monte-Carlo replications, bucketed by the subset's true
-count (the x-axis of Figures 3-5). Replications pack their estimates
-with ``common.replication_rows``; :func:`summarize` buckets
-``common.query_summary``'s per-subset RRMSE.
+A sweep fixes a discretized-Weibull count vector and a set of random
+item subsets, the paper's arbitrary filter conditions
+(:func:`sweep_config`). The three tables run one experiment,
+:func:`replicate`: each replication sketches a fresh permutation of the
+stream with Unbiased Space Saving and draws the table's pre-aggregated
+baseline, if any, from the exact counts; every method answers every
+query. :func:`summarize` buckets ``common.query_summary``'s per-subset
+relative root mean squared error (RRMSE) by the subset's true count
+(the x-axis of the figures). The tables differ only in the Weibull
+shapes they sweep, the baseline they pass and, for T4, one extra query.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import pandas as pd
+from pyspark.sql import SparkSession
 
+from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.experiments.common import (
     bucket_by_quantile,
     draw_subsets,
     query_summary,
+    replication_rows,
+    run_replications,
 )
+from repro.streams.orders import permuted_stream
 from repro.streams.weibull import weibull_counts
 
 
@@ -28,18 +38,60 @@ def sweep_config(
     shape: float,
     subset_size: int,
     n_subsets: int,
-    subset_seed: int = 123,
 ) -> dict:
-    """Counts, subsets, and truths shared by every replication."""
+    """Counts, subsets (as item sets), and truths shared by every
+    replication."""
     counts = weibull_counts(n_items, shape=shape, target_total=total)
-    subsets = draw_subsets(len(counts), subset_size, n_subsets, seed=subset_seed)
+    subsets = draw_subsets(len(counts), subset_size, n_subsets)
     truths = np.asarray([counts[s].sum() for s in subsets], dtype=np.float64)
     return {
         "counts": counts,
-        "subsets": subsets,
+        "sets": [set(s.tolist()) for s in subsets],
         "truths": truths,
         "total": float(counts.sum()),
     }
+
+
+def replicate(
+    spark: SparkSession,
+    counts: np.ndarray,
+    queries: list[set],
+    m: int,
+    n_reps: int,
+    *,
+    baselines: dict[str, Callable],
+    base_seed: int = 0,
+) -> pd.DataFrame:
+    """``n_reps`` replications of every method's estimate of every query.
+
+    Replication ``seed`` draws ``rng = default_rng(seed)``, permutes the
+    stream with it, sketches the stream with an m-bin
+    ``UnbiasedSpaceSaving(seed=seed)``, and then calls each baseline,
+    ``sampler(item_ids, counts, m, rng)``, on the exact counts with the
+    same ``rng``, in the order given. Returns ``replication_rows``,
+    method ``unbiased_ss`` first and then the baselines.
+    """
+    item_ids = np.arange(len(counts))
+
+    def one_rep(seed: int) -> pd.DataFrame:
+        rng = np.random.default_rng(seed)
+        stream = permuted_stream(counts, rng)
+        samples = {
+            "unbiased_ss": UnbiasedSpaceSaving.from_stream(
+                stream.tolist(), m, seed=seed
+            ).result()
+        }
+        for method, sampler in baselines.items():
+            samples[method] = sampler(item_ids, counts, m, rng)
+        return replication_rows(
+            seed,
+            {
+                method: {"est": [res.subset_sum(q)[0] for q in queries]}
+                for method, res in samples.items()
+            },
+        )
+
+    return run_replications(spark, n_reps, one_rep, base_seed=base_seed)
 
 
 def summarize(

@@ -23,12 +23,11 @@ from repro.streams.weibull import weibull_counts
 def run(
     spark: SparkSession,
     *,
-    n_items: int = 1000,
-    total: int = 300_000,
-    shape: float = 0.15,
-    m: int = 100,
-    n_reps: int = 200,
-    seed: int = 0,
+    n_items: int,
+    total: int,
+    shape: float,
+    m: int,
+    n_reps: int,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (:func:`summarize`'s decile table, the per-item frame of
     empirical vs theoretical PPS inclusion probabilities)."""
@@ -45,9 +44,7 @@ def run(
             {"item": np.arange(len(counts)), "included": inc}
         )
 
-    rows = run_replications(
-        spark, n_reps, one_rep, "item long, included long", base_seed=seed
-    )
+    rows = run_replications(spark, n_reps, one_rep, "item long, included long")
     emp = rows.groupby("item")["included"].mean()
     out = pd.DataFrame(
         {

@@ -40,14 +40,13 @@ def build_queries(
     agg_counts: np.ndarray,
     total: float,
     *,
-    min_frac: float = 0.002,
-    max_two_way: int = 40,
+    min_frac: float,
 ) -> list[tuple]:
     """1-way queries ``(f, v)`` and 2-way queries ``(f1, v1, f2, v2)``.
 
     All 1-way marginals above ``min_frac`` are kept; 2-way queries pair
     the heaviest values of consecutive features, filtered to the same
-    threshold.
+    threshold; the heaviest 40 of them are kept.
     """
     queries: list[tuple] = []
     top_values: list[list[int]] = []
@@ -64,13 +63,10 @@ def build_queries(
             for v2 in top_values[f2]:
                 two_way.append((f1, int(v1), f2, int(v2)))
     # filter 2-way by truth and cap the panel size
-    kept = []
-    for q in two_way:
-        t = _eval_queries(agg_items, agg_counts.astype(np.float64), [q])[0]
-        if t / total >= min_frac:
-            kept.append((q, t))
+    truths = _eval_queries(agg_items, agg_counts.astype(np.float64), two_way)
+    kept = [(q, t) for q, t in zip(two_way, truths) if t / total >= min_frac]
     kept.sort(key=lambda p: -p[1])
-    queries.extend(q for q, _ in kept[:max_two_way])
+    queries.extend(q for q, _ in kept[:40])
     return queries
 
 
@@ -101,22 +97,20 @@ def _eval_queries(
 def run(
     spark: SparkSession,
     *,
-    n_rows: int = 200_000,
-    m: int = 2000,
-    n_reps: int = 20,
-    seed: int = 0,
-    data_seed: int = 42,
-    min_frac: float = 0.002,
+    n_rows: int,
+    m: int,
+    n_reps: int,
 ) -> pd.DataFrame:
     """Relative MSE per (method, marginal-size bucket)."""
-    pdf = impressions_pdf(n_rows, seed=data_seed)
+    pdf = impressions_pdf(n_rows, seed=42)
     items = tuple_item_column(pdf).to_numpy()
     agg = pd.Series(items).value_counts()
     agg_items = agg.index.to_numpy()
     agg_counts = agg.to_numpy().astype(np.float64)
     total = float(n_rows)
+    # the smallest marginal queried is the smallest bucket's lower edge
     queries = build_queries(
-        agg_items, agg_counts, total, min_frac=min_frac
+        agg_items, agg_counts, total, min_frac=FRACTION_EDGES[0]
     )
     truths = _eval_queries(agg_items, agg_counts, queries)
 
@@ -131,7 +125,7 @@ def run(
             rep_seed, {"unbiased_ss": {"est": uss}, "priority": {"est": pri}}
         )
 
-    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
+    rows = run_replications(spark, n_reps, one_rep)
     frac = truths / total
     bucket = np.clip(
         np.searchsorted(FRACTION_EDGES, frac, side="right") - 1,

@@ -41,14 +41,13 @@ _SCHEMA = ROW_SCHEMA + ", kind string"
 def run(
     spark: SparkSession,
     *,
-    n_items_half: int = 1000,
-    total_half: int = 150_000,
-    shape: float = 0.5,
-    m: int = 100,
-    subset_size: int = 100,
-    n_subsets: int = 30,
-    n_reps: int = 80,
-    seed: int = 0,
+    n_items_half: int,
+    total_half: int,
+    shape: float,
+    m: int,
+    subset_size: int,
+    n_subsets: int,
+    n_reps: int,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (inclusion table, subset-error table)."""
     counts1 = weibull_counts(n_items_half, shape=shape, target_total=total_half)
@@ -81,7 +80,7 @@ def run(
             ignore_index=True,
         )
 
-    rows = run_replications(spark, n_reps, one_rep, _SCHEMA, base_seed=seed)
+    rows = run_replications(spark, n_reps, one_rep, _SCHEMA)
 
     inc = rows[rows["kind"] == "inc"]
     pi = inc.groupby(["method", "query"])["est"].mean().rename("pi").reset_index()

@@ -56,14 +56,12 @@ def epoch_setup(
 def run(
     spark: SparkSession,
     *,
-    n_items: int = 5000,
-    total: int = 1_000_000,
-    shape: float = 0.3,
-    m: int = 500,
-    n_epochs: int = 10,
-    n_reps: int = 80,
-    seed: int = 0,
-    level: float = 0.95,
+    n_items: int,
+    total: int,
+    shape: float,
+    m: int,
+    n_epochs: int,
+    n_reps: int,
 ) -> pd.DataFrame:
     """Per-epoch: truth, mean estimate, empirical vs estimated vs PPS SD,
     and empirical CI coverage."""
@@ -79,13 +77,13 @@ def run(
             stream_arr.tolist(), m, seed=rep_seed
         )
         recs = [
-            (*sk.subset_sum_ci(s, level=level), float(sk.subset_sum(s)[1]))
+            (*sk.subset_sum_ci(s), float(sk.subset_sum(s)[1]))
             for s in epoch_sets
         ]
         cols = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))
         return replication_rows(rep_seed, {"unbiased_ss": cols})
 
-    rows = run_replications(spark, n_reps, one_rep, _SCHEMA, base_seed=seed)
+    rows = run_replications(spark, n_reps, one_rep, _SCHEMA)
     by_epoch = rows.groupby("query")
     tab = query_summary(rows, truths).assign(
         epoch=lambda t: t["query"],

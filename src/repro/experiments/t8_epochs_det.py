@@ -27,13 +27,12 @@ from repro.experiments.t7_epochs_ci import epoch_setup
 def run(
     spark: SparkSession,
     *,
-    n_items: int = 5000,
-    total: int = 1_000_000,
-    shape: float = 0.3,
-    m: int = 500,
-    n_epochs: int = 10,
-    n_reps: int = 60,
-    seed: int = 0,
+    n_items: int,
+    total: int,
+    shape: float,
+    m: int,
+    n_epochs: int,
+    n_reps: int,
 ) -> pd.DataFrame:
     """Per-epoch RRMSE for both algorithms and the error ratio."""
     cfg = epoch_setup(
@@ -53,7 +52,7 @@ def run(
             est[method] = {"est": [sk.subset_sum(s)[0] for s in epoch_sets]}
         return replication_rows(rep_seed, est)
 
-    rows = run_replications(spark, n_reps, one_rep, base_seed=seed)
+    rows = run_replications(spark, n_reps, one_rep)
     per_epoch = query_summary(rows, truths).pivot(
         index="query", columns="method", values="rrmse"
     )

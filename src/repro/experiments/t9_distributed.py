@@ -22,12 +22,10 @@ from repro.synth_data import lineitem, part
 def run(
     spark: SparkSession,
     *,
-    sf: float = 0.05,
-    m: int = 500,
-    n_reps: int = 25,
-    n_partitions: int = 16,
-    seed: int = 0,
-    weight_col: str | None = None,
+    sf: float,
+    m: int,
+    n_reps: int,
+    n_partitions: int,
 ) -> pd.DataFrame:
     """Per-brand: truth, mean estimate, relative bias, RRMSE, CI coverage.
 
@@ -36,7 +34,7 @@ def run(
     """
     li = lineitem(spark, sf=sf).repartition(n_partitions).cache()
     pt = part(spark, sf=sf).toPandas()
-    truth_pdf = exact_counts(li, "l_partkey", weight_col=weight_col).toPandas()
+    truth_pdf = exact_counts(li, "l_partkey").toPandas()
     truth = truth_pdf.set_index("item")["n"]
 
     brands = sorted(pt["p_brand"].unique())
@@ -49,9 +47,7 @@ def run(
 
     reps = []
     for r in range(n_reps):
-        res = sketch_dataframe(
-            li, "l_partkey", m, weight_col=weight_col, seed=seed + 1000 * r
-        )
+        res = sketch_dataframe(li, "l_partkey", m, seed=1000 * r)
         est, _, lo, hi = zip(*(res.subset_sum_ci(s) for s in brand_sets))
         cols = {"est": est, "lo": lo, "hi": hi}
         reps.append(replication_rows(r, {"unbiased_ss": cols}))

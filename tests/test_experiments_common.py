@@ -1,4 +1,6 @@
 """Tests for the experiment utility layer (common, sweep, scales, t5)."""
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.experiments.common import (
     bucket_by_quantile,
     draw_subsets,
@@ -16,10 +19,12 @@ from repro.experiments.common import (
     rrmse,
     run_replications,
 )
-from repro.experiments.scales import BENCH, TEST, params
-from repro.experiments.subset_sweep import summarize, sweep_config
+from repro.experiments.scales import BENCH, TABLES, TEST, params
+from repro.experiments.subset_sweep import replicate, summarize, sweep_config
 from repro.experiments.t5_criteo import _eval_queries, build_queries
+from repro.sampling.priority import priority_sample
 from repro.streams.criteo import impressions_pdf, tuple_item_column
+from repro.streams.orders import permuted_stream
 
 
 class TestMetrics:
@@ -62,11 +67,36 @@ class TestSweepHelpers:
         cfg = sweep_config(
             n_items=200, total=20_000, shape=0.5, subset_size=20, n_subsets=7
         )
-        assert len(cfg["subsets"]) == 7
+        assert len(cfg["sets"]) == 7
         assert len(cfg["truths"]) == 7
         assert cfg["total"] == cfg["counts"].sum()
-        for s, t in zip(cfg["subsets"], cfg["truths"]):
-            assert cfg["counts"][s].sum() == t
+        for s, t in zip(cfg["sets"], cfg["truths"]):
+            assert len(s) == 20 and cfg["counts"][sorted(s)].sum() == t
+
+    def test_replicate_draws_baselines_after_the_permutation(self, spark):
+        # the committed T3/T4 tables depend on this order of draws
+        cfg = sweep_config(
+            n_items=200, total=20_000, shape=0.5, subset_size=20, n_subsets=7
+        )
+        counts, sets, m, seed = cfg["counts"], cfg["sets"], 30, 11
+        rows = replicate(
+            spark, counts, sets, m, 1,
+            baselines={"priority": priority_sample}, base_seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        stream = permuted_stream(counts, rng)
+        uss = UnbiasedSpaceSaving.from_stream(stream.tolist(), m, seed=seed)
+        ps = priority_sample(np.arange(len(counts)), counts, m, rng)
+        expected = replication_rows(
+            seed,
+            {
+                "unbiased_ss": {"est": [uss.subset_sum(s)[0] for s in sets]},
+                "priority": {"est": [ps.subset_sum(s)[0] for s in sets]},
+            },
+        )
+        pd.testing.assert_frame_equal(rows, expected)
+        alone = replicate(spark, counts, sets, m, 1, baselines={}, base_seed=seed)
+        pd.testing.assert_frame_equal(alone, expected[: len(sets)])
 
     def test_replication_rows_schema(self):
         rows = replication_rows(3, {"a": {"est": np.asarray([1.0, 2.0])}})
@@ -198,6 +228,16 @@ class TestScales:
     def test_unknown_scale(self):
         with pytest.raises(KeyError):
             params("t1", "huge")
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_run_takes_exactly_the_book_keys(self, table):
+        run = importlib.import_module(f"repro.experiments.{TABLES[table][0]}").run
+        sig = dict(inspect.signature(run).parameters)
+        assert list(sig)[0] == "spark"
+        del sig["spark"]
+        assert set(sig) == set(BENCH[table]) == set(TEST[table])
+        for p in sig.values():
+            assert p.kind is p.KEYWORD_ONLY and p.default is p.empty, p
 
 
 class TestT5Queries:

@@ -3,6 +3,8 @@
 Every module must import as the first one in a fresh interpreter: an
 import cycle, such as ``result -> variance -> space_saving -> result``,
 only shows when the cycle's modules are entered in a particular order.
+The ``benchmarks/`` targets are collected too, so that a broken import
+there fails here rather than only when the benchmarks are run.
 """
 import os
 import pkgutil
@@ -20,12 +22,17 @@ JOB = ROOT / "jobs" / "run.py"
 MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
 
 
+def _env() -> dict:
+    """This environment with ``src`` first on ``PYTHONPATH``."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def _import_first(code: str) -> str:
     """stderr of a fresh interpreter that runs ``code`` ("" on success)."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -66,3 +73,20 @@ def test_job_csv_names_match_committed_results():
     written = {f"{name}_bench.csv" for _, names in tables.values() for name in names}
     committed = {p.name for p in (ROOT / "results").glob("*_bench.csv")}
     assert written == committed
+
+
+def test_every_table_bench_target_collects():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "benchmarks/"],
+        cwd=ROOT,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    targets = sorted((ROOT / "benchmarks").glob("test_bench_t*.py"))
+    assert len(targets) == len(scales.TABLES)
+    for path in targets:
+        assert f"benchmarks/{path.name}::" in proc.stdout, path.name
