@@ -43,7 +43,7 @@ def test_weighted_miss_heavy(benchmark, m):
 
     sk = benchmark(run)
     _record(benchmark)
-    est = sk.estimates()
+    est = sk.result().estimates_dict()
     assert len(est) == m
     assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
 

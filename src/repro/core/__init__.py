@@ -3,9 +3,8 @@
 Modules
 -------
 kernel        Algorithm 1 update kernel (both variants), lazy min-bin list
-space_saving  High-level Deterministic / Unbiased Space Saving sketch API
-result        CountSketchResult: the one query type (subset sums, CIs, top-k)
-exact         Exact-enumeration reference implementation (Theorem 1/2 tests)
+space_saving  Deterministic / Unbiased Space Saving: the kernel plus result()
+result        CountSketchResult: the one query type (estimates, sums, CIs, top-k)
 merge         Unbiased merge of sketches (Theorem 2): one reduction, one rule
 variance      Subset-sum variance estimator (eq. 5) and Normal CIs (sec 6.5)
 weighted      Weighted Unbiased Space Saving via PPS reduction (sec 5.3)

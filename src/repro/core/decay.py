@@ -57,16 +57,13 @@ class ForwardDecaySpaceSaving:
         self._inner.add(item, weight * math.exp(a))
         self._last_time = time  # only an accepted row moves the clock
 
-    def estimates(self, query_time: float | None = None) -> dict:
-        """Decayed count estimates normalized to ``query_time``.
-
-        Each returned value estimates ``sum_rows exp(-rate * age)`` for
-        the item's rows, unbiasedly.
-        """
-        return self.result(query_time).estimates_dict()
-
     def result(self, query_time: float | None = None) -> CountSketchResult:
-        """Decayed snapshot as a :class:`CountSketchResult`."""
+        """Decayed snapshot as a :class:`CountSketchResult`.
+
+        Estimates are normalized to ``query_time`` (the last row's time
+        when None): each estimates ``sum_rows exp(-rate * age)`` for the
+        item's rows, unbiasedly.
+        """
         qt = self._last_time if query_time is None else query_time
         norm = math.exp(self.rate * (qt - self.landmark))
         raw = self._inner.result()

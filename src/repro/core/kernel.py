@@ -2,11 +2,11 @@
 
 Implements the per-row update shared by Deterministic Space Saving
 (label-replacement probability ``p = 1``) and Unbiased Space Saving
-(``p = 1/(N_min + 1)``) with O(1) amortized cost per row, and the
-per-item reads of the bins. The class attribute ``unbiased`` picks the
-variant. The sketches of :mod:`repro.core.space_saving` are subclasses
-that add the subset-sum and frequent-item queries, so a sketch is one
-object; ``DeterministicSpaceSaving`` sets ``unbiased = False``.
+(``p = 1/(N_min + 1)``) with O(1) amortized cost per row. The class
+attribute ``unbiased`` picks the variant. The sketches of
+:mod:`repro.core.space_saving` are subclasses that answer every query
+through ``result()``, so a sketch is one object;
+``DeterministicSpaceSaving`` sets ``unbiased = False``.
 
 Algorithm 1 needs only two things from its summary structure: the
 minimum count ``N_min`` and a uniformly random bin holding it (the
@@ -140,7 +140,7 @@ class SpaceSavingKernel:
             counts[b] = mv + 1
         self.t = t
 
-    # -- queries -----------------------------------------------------------
+    # -- state reads, not queries: ``result()`` and the benchmark read them --
 
     def __len__(self) -> int:
         return len(self.item_of)
@@ -153,15 +153,6 @@ class SpaceSavingKernel:
         """Count of the smallest bin (0 while the sketch is not full)."""
         counts = self.counts
         return min(counts) if len(counts) == self.m else 0
-
-    def estimates(self) -> dict:
-        """item -> estimated count, for every item currently labelled."""
-        return {x: self.counts[b] for x, b in self.bin_of.items()}
-
-    def estimate(self, item: Hashable) -> int:
-        """Estimated count of ``item`` (0 when not in the sketch)."""
-        b = self.bin_of.get(item)
-        return 0 if b is None else self.counts[b]
 
     def total(self) -> int:
         """Sum of all bin counts; equals ``t`` exactly for unit updates."""

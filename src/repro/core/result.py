@@ -7,10 +7,11 @@ from the sketch has estimated count 0 and items near the threshold
 carry variance of order ``threshold**2`` each. Theorem 2 makes any
 unbiased reduction or merge of such a set another such set.
 
-The queries live here and only here: subset sums, eq.-5 confidence
-intervals, top-k and frames. Every sketch answers them through its
-``.result()`` — :class:`~repro.core.space_saving.SpaceSaving`, the
-weighted and forward-decay sketches — and the merges in
+The queries live here and only here: per-item estimates, subset sums,
+eq.-5 confidence intervals, top-k and frames. Every sketch answers them
+only through its ``.result()`` —
+:class:`~repro.core.space_saving.SpaceSaving`, the weighted and
+forward-decay sketches — and the merges in
 :mod:`repro.core.merge` and the baselines' samples
 (:func:`~repro.sampling.priority.priority_sample`,
 :func:`~repro.sampling.bottomk.bottomk_from_counts`) return a

@@ -5,38 +5,30 @@ absent from a full sketch, the minimum-count bin is incremented; the
 label is replaced always (deterministic) or with probability
 ``1/(N_min+1)`` (unbiased, Theorem 1 of the paper).
 
-Queries:
-
-* per-item count estimates — unbiased for :class:`UnbiasedSpaceSaving`,
-  upward-biased for stored items under :class:`DeterministicSpaceSaving`
-  (deterministic guarantee: error <= n_tot / m);
-* disaggregated subset sums with a variance estimate (eq. 5) and Normal
-  confidence intervals;
-* frequent items / heavy hitters;
-* the Misra-Gries view ``(N_i - N_min)_+`` (section 5.2 isomorphism).
+Per-item count estimates are unbiased for :class:`UnbiasedSpaceSaving`
+and upward-biased for stored items under :class:`DeterministicSpaceSaving`
+(deterministic guarantee: error <= n_tot / m).
 
 A sketch is one object: :class:`SpaceSaving` subclasses
-:class:`~repro.core.kernel.SpaceSavingKernel`, whose state, update loop
-and per-item reads (``estimate``, ``estimates``, ``n_min``, ``total``)
-it inherits, and whose class attribute ``unbiased`` picks the variant.
-The Misra-Gries view reads the bins. The other queries live in
-:class:`~repro.core.result.CountSketchResult`, the one query type of
-every sketch: :meth:`SpaceSaving.result` is the sketch as a result with
-threshold ``N_min``, and the query methods here delegate to it.
+:class:`~repro.core.kernel.SpaceSavingKernel`, whose state and update
+loop it inherits, and whose class attribute ``unbiased`` picks the
+variant. Every query goes through :meth:`SpaceSaving.result`, the sketch
+as a :class:`~repro.core.result.CountSketchResult` with threshold
+``N_min``: per-item estimates, disaggregated subset sums with eq.-5
+confidence intervals, and frequent items.
 """
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
 import numpy as np
-import pandas as pd
 
 from repro.core.kernel import SpaceSavingKernel
 from repro.core.result import CountSketchResult, item_array
 
 
 class SpaceSaving(SpaceSavingKernel):
-    """The kernel plus its queries; see module docstring."""
+    """The kernel plus its result; see module docstring."""
 
     __slots__ = ("_result",)
 
@@ -69,32 +61,7 @@ class SpaceSaving(SpaceSavingKernel):
             self._result = CountSketchResult(items, est, self.n_min, self.t)
         return self._result
 
-    def to_pandas(self) -> pd.DataFrame:
-        """The sketch as a two-column frame ``[item, estimate]``."""
-        return self.result().to_pandas()
-
-    def frequent_items(self, k: int | None = None) -> list[tuple[Hashable, int]]:
-        """Top-``k`` (item, estimate) pairs, descending (all when ``k`` is None)."""
-        return self.result().frequent_items(k)
-
-    def misra_gries_view(self) -> dict:
-        """The isomorphic Misra-Gries estimates ``(N_i - N_min)_+``.
-
-        Section 5.2: Deterministic Space Saving and Misra-Gries differ
-        only by the additive ``N_min``; soft-thresholding recovers the
-        Misra-Gries counters (zeros dropped).
-        """
-        nm = self.n_min
-        return {x: c - nm for x, c in self.estimates().items() if c - nm > 0}
-
-    # -- subset sums (the disaggregated subset sum problem) ----------------
-
-    def subset_sum(
-        self, subset: set | Callable[[Hashable], bool]
-    ) -> tuple[float, int]:
-        """``(N_hat_S, C_S)``; see :meth:`CountSketchResult.subset_sum`."""
-        return self.result().subset_sum(subset)
-
+    # kept only because the stream_kernel benchmark workload calls and traces it
     def subset_sum_ci(
         self,
         subset: set | Callable[[Hashable], bool],

@@ -17,9 +17,9 @@ values. Every other kept item takes its Horvitz-Thompson value
 them are kept when ``j`` are pinned, so they hold ``(m - j) / alpha``,
 the unpinned mass: every reduction conserves the total. ``threshold`` is
 the largest ``1 / alpha`` of any reduction, the ``N_min`` analogue of
-eq. 5. ``estimates()`` and ``result()`` reduce in place to at most m
-items first, so between queries the sketch holds up to ``SPILL_FACTOR *
-m`` items and a query sees at most m.
+eq. 5. ``result()``, the sketch's one read, reduces in place to at most
+m items first, so between queries the sketch holds up to ``SPILL_FACTOR
+* m`` items and a query sees at most m.
 
 This class is the substrate for time-decayed aggregation
 (:mod:`repro.core.decay`). Weights are real and non-negative: a null,
@@ -104,22 +104,23 @@ class WeightedUnbiasedSpaceSaving:
     def update_many(
         self, items: Iterable[Hashable], weights: Iterable[float] | None = None
     ) -> None:
-        """Add rows (unit weight when ``weights`` is None)."""
+        """Add rows (unit weight when ``weights`` is None).
+
+        ``items`` and ``weights`` must have equal lengths: a mismatch
+        raises ``ValueError`` once the shorter one runs out, after the
+        rows before it are added.
+        """
         if weights is None:
             for x in items:
                 self.add(x, 1.0)
         else:
-            for x, w in zip(items, weights):
+            for x, w in zip(items, weights, strict=True):
                 self.add(x, w)
 
     @property
     def t(self) -> float:
         """Total weight ingested."""
         return self._t
-
-    def estimates(self) -> dict:
-        """item -> unbiased weight estimate, after a reduction to <= m items."""
-        return self.result().estimates_dict()
 
     def result(self) -> CountSketchResult:
         """Snapshot as a :class:`CountSketchResult`, after a reduction to <= m."""

@@ -66,12 +66,12 @@ def run(
             ("unbiased_ss", UnbiasedSpaceSaving),
             ("deterministic_ss", DeterministicSpaceSaving),
         ):
-            sk = cls.from_stream(stream_list, m, seed=rep_seed)
-            items = sk.result().items
+            res = cls.from_stream(stream_list, m, seed=rep_seed).result()
+            items = res.items
             included = np.zeros(n_first, dtype=np.float64)
             included[items[items < n_first]] = 1.0
             inc[method] = {"est": included}
-            est[method] = {"est": [sk.subset_sum(s)[0] for s in subset_sets]}
+            est[method] = {"est": [res.subset_sum(s)[0] for s in subset_sets]}
         return pd.concat(
             [
                 replication_rows(rep_seed, inc).assign(kind="inc"),

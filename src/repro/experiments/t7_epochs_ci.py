@@ -73,11 +73,11 @@ def run(
     epoch_sets = cfg["sets"]
 
     def one_rep(rep_seed: int) -> pd.DataFrame:
-        sk = UnbiasedSpaceSaving.from_stream(
+        res = UnbiasedSpaceSaving.from_stream(
             stream_arr.tolist(), m, seed=rep_seed
-        )
+        ).result()
         recs = [
-            (*sk.subset_sum_ci(s), float(sk.subset_sum(s)[1]))
+            (*res.subset_sum_ci(s), float(res.subset_sum(s)[1]))
             for s in epoch_sets
         ]
         cols = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))

@@ -48,8 +48,8 @@ def run(
             ("unbiased_ss", UnbiasedSpaceSaving),
             ("deterministic_ss", DeterministicSpaceSaving),
         ):
-            sk = cls.from_stream(stream_arr.tolist(), m, seed=rep_seed)
-            est[method] = {"est": [sk.subset_sum(s)[0] for s in epoch_sets]}
+            res = cls.from_stream(stream_arr.tolist(), m, seed=rep_seed).result()
+            est[method] = {"est": [res.subset_sum(s)[0] for s in epoch_sets]}
         return replication_rows(rep_seed, est)
 
     rows = run_replications(spark, n_reps, one_rep)

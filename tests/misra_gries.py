@@ -9,11 +9,26 @@ or decrements *all* counters (dropping zeros). Deterministic guarantee:
 Section 5.2 isomorphism: with ``D`` the total number of decrement
 rounds, a Deterministic Space Saving sketch on the same stream with the
 same tie-breaking satisfies ``N_hat_i^SS = N_hat_i^MG + D`` for stored
-items and ``D == N_min^SS``; tests verify the relationship.
+items and ``D == N_min^SS``; tests verify the relationship, comparing
+:class:`MisraGries` with :func:`misra_gries_view` of the Space Saving
+sketch's result.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
+
+from repro.core.result import CountSketchResult
+
+
+def misra_gries_view(res: CountSketchResult) -> dict:
+    """The isomorphic Misra-Gries estimates ``(c - threshold)_+``.
+
+    Section 5.2: Deterministic Space Saving and Misra-Gries differ only
+    by the additive ``N_min``, a Space Saving result's threshold;
+    soft-thresholding recovers the Misra-Gries counters (zeros dropped).
+    """
+    thr = res.threshold
+    return {x: c - thr for x, c in res.estimates_dict().items() if c > thr}
 
 
 class MisraGries:

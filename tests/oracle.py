@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle, and the ``orders`` table only its tests read.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
@@ -12,8 +12,14 @@ on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 columns are not orderable so cannot be compared here.
 """
 import duckdb
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
+
+# lineitem's l_orderkey ranges over the same orders
+from repro.synth_data import _N_ORDERS_PER_SF
+
+_N_CUSTOMER_PER_SF = 150_000
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -41,3 +47,24 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+    """TPC-H-lite ``orders`` at scale factor ``sf``, deterministic in ``seed``."""
+    n = max(1, int(_N_ORDERS_PER_SF * sf))
+    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
+    g = np.random.default_rng(seed)
+    pdf = pd.DataFrame(
+        {
+            "o_orderkey": np.arange(1, n + 1),
+            "o_custkey": g.integers(1, n_cust + 1, n),
+            "o_orderstatus": g.choice(list("OFP"), n),
+            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
+            "o_orderdate": pd.to_datetime("1992-01-01")
+            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
+            "o_orderpriority": g.choice(
+                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
+            ),
+        }
+    )
+    return spark.createDataFrame(pdf)

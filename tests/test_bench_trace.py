@@ -102,7 +102,7 @@ def test_traced_weighted_decay_reaches_the_reduction(bench):
     finally:
         tracer.end_op()
         tracer.unpatch()
-    assert len(sk.estimates()) == m and lo <= est <= hi
+    assert len(sk.result()) == m and lo <= est <= hi
     calls = {name: agg[0] for name, agg in tracer.per_op[0].items()}
     assert calls == {
         "decay.add": SPILL_FACTOR * m + 2, "pps.splitting": 2, "pps.probs": 2,

@@ -26,14 +26,14 @@ class TestForwardDecay:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 sk.add("b", time, bad)
         assert sk.landmark == 0.0
-        assert sk.estimates() == pytest.approx({"a": 1.0})
+        assert sk.result().estimates_dict() == pytest.approx({"a": 1.0})
         sk.add("b", 1.5)  # the rejected row did not move the clock to 2.0
 
     def test_zero_rate_is_plain_counting(self):
         sk = ForwardDecaySpaceSaving(10, rate=0.0, seed=0)
         for t, x in enumerate(["a", "a", "b", "c", "a"]):
             sk.add(x, float(t))
-        assert sk.estimates() == {"a": 3.0, "b": 1.0, "c": 1.0}
+        assert sk.result().estimates_dict() == {"a": 3.0, "b": 1.0, "c": 1.0}
 
     def test_exact_decayed_counts_under_capacity(self):
         rate = 0.5
@@ -42,7 +42,7 @@ class TestForwardDecay:
         for x, t in rows:
             sk.add(x, t)
         q = 2.0
-        est = sk.estimates(q)
+        est = sk.result(q).estimates_dict()
         exact_a = math.exp(-rate * 2.0) + math.exp(-rate * 0.0)
         exact_b = math.exp(-rate * 1.0)
         assert math.isclose(est["a"], exact_a, rel_tol=1e-9)
@@ -55,14 +55,14 @@ class TestForwardDecay:
             sk.add("old", float(t))
         for t in range(5, 10):
             sk.add("new", float(t))
-        est = sk.estimates(10.0)
+        est = sk.result(10.0).estimates_dict()
         assert est["new"] > est["old"]
 
     def test_size_bounded(self):
         sk = ForwardDecaySpaceSaving(4, rate=0.01, seed=1)
         for t in range(200):
             sk.add(t % 50, float(t))
-        assert len(sk.estimates()) <= 4
+        assert len(sk.result().estimates_dict()) <= 4
 
     def test_unbiased_mc(self):
         rate = 0.1
@@ -77,7 +77,7 @@ class TestForwardDecay:
             sk = ForwardDecaySpaceSaving(3, rate=rate, seed=r)
             for x, t in rows:
                 sk.add(x, t)
-            est = sk.estimates(q)
+            est = sk.result(q).estimates_dict()
             for x in acc:
                 acc[x] += est.get(x, 0.0)
         for x, e in exact.items():
@@ -103,7 +103,7 @@ class TestForwardDecay:
         exact: dict = {}
         for x, t in rows:
             exact[x] = exact.get(x, 0.0) + math.exp(-rate * (q - t))
-        est = sk.estimates(q)
+        est = sk.result(q).estimates_dict()
         assert est.keys() == exact.keys()
         for x, e in exact.items():
             assert math.isclose(est[x], e, rel_tol=1e-9), (x, est[x], e)
@@ -144,5 +144,5 @@ class TestForwardDecay:
             sk.add(t % 5, float(t))
         sk.add("late", 2_000.0, 2.0)
         sk.add("later", 2_000.0)
-        assert sk.estimates() == {"late": 2.0, "later": 1.0}
+        assert sk.result().estimates_dict() == {"late": 2.0, "later": 1.0}
         assert sk.result().t == 3.0

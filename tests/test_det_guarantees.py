@@ -24,13 +24,13 @@ class TestErrorBound:
             truth = {x: stream.count(x) for x in set(stream)}
             bound = len(stream) / m
             for x, n_x in truth.items():
-                assert abs(sk.estimate(x) - n_x) <= bound
+                assert abs(sk.result().estimate(x) - n_x) <= bound
 
     def test_stored_estimates_overestimate(self):
         stream = _random_stream(11)
         sk = DeterministicSpaceSaving.from_stream(stream, 40, seed=0)
         truth = {x: stream.count(x) for x in set(stream)}
-        for x, est in sk.estimates().items():
+        for x, est in sk.result().estimates_dict().items():
             assert est >= truth[x]
 
     def test_frequent_items_always_included(self):
@@ -63,9 +63,9 @@ class TestTheorem11Adversarial:
         sk = DeterministicSpaceSaving.from_stream(stream, m, seed=0)
         # no original item survives: estimates are all 0
         for i in range(len(n)):
-            assert sk.estimate(f"orig{i}") == 0
+            assert sk.result().estimate(f"orig{i}") == 0
         # bins hold ~2 n_tot / m each
-        for _, c in sk.estimates().items():
+        for _, c in sk.result().estimates_dict().items():
             assert abs(c - 2 * n_tot / m) <= 1
 
     def test_unbiased_degrades_gracefully(self):
@@ -80,7 +80,7 @@ class TestTheorem11Adversarial:
         acc = 0.0
         for r in range(reps):
             sk = UnbiasedSpaceSaving.from_stream(stream, m, seed=r)
-            acc += sk.subset_sum(lambda x: x.startswith("orig"))[0]
+            acc += sk.result().subset_sum(lambda x: x.startswith("orig"))[0]
         mean = acc / reps
         # truth = n_tot; allow a generous 5-sigma Monte-Carlo band
         assert abs(mean - n_tot) < 0.25 * n_tot

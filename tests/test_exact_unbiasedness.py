@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.exact import (
+from tests.exact import (
     exact_expected_estimates,
     exact_inclusion_probabilities,
     exact_state_distribution,

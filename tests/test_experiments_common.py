@@ -90,7 +90,7 @@ class TestSweepHelpers:
         expected = replication_rows(
             seed,
             {
-                "unbiased_ss": {"est": [uss.subset_sum(s)[0] for s in sets]},
+                "unbiased_ss": {"est": [uss.result().subset_sum(s)[0] for s in sets]},
                 "priority": {"est": [ps.subset_sum(s)[0] for s in sets]},
             },
         )

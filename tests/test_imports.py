@@ -49,6 +49,16 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     assert not any(errors.values()), {c: e for c, e in errors.items() if e}
 
 
+def test_no_module_needs_a_test_only_dependency():
+    # the DuckDB oracle and the hypothesis properties live under tests/
+    code = (
+        "import importlib, sys; "
+        "sys.modules['duckdb'] = sys.modules['hypothesis'] = None; "
+        f"[importlib.import_module(m) for m in {MODULES!r}]"
+    )
+    assert _import_first(code) == ""
+
+
 def test_spark_sketch_imports_without_a_jvm():
     # the JVM builder is compiled and loaded on first use, not on import
     code = (

@@ -2,8 +2,8 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders, part
+from repro.synth_data import lineitem, part
+from tests.oracle import assert_equivalent, orders
 
 
 @pytest.fixture(scope="module")

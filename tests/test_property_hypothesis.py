@@ -6,7 +6,7 @@ from repro.core.space_saving import (
     DeterministicSpaceSaving,
     UnbiasedSpaceSaving,
 )
-from repro.sketches.misra_gries import MisraGries
+from tests.misra_gries import MisraGries, misra_gries_view
 
 streams = st.lists(st.integers(min_value=0, max_value=20), min_size=0, max_size=300)
 ms = st.integers(min_value=1, max_value=8)
@@ -39,7 +39,7 @@ def test_size_bound(stream, m, seed):
 @given(streams, ms, seeds)
 def test_counts_positive_and_bounded(stream, m, seed):
     sk = UnbiasedSpaceSaving.from_stream(stream, m, seed=seed)
-    for _, c in sk.estimates().items():
+    for _, c in sk.result().estimates_dict().items():
         assert 0 < c <= len(stream)
 
 
@@ -49,7 +49,7 @@ def test_exact_when_capacity_sufficient(stream, seed):
     m = len(set(stream)) + 1
     sk = UnbiasedSpaceSaving.from_stream(stream, m, seed=seed)
     truth = {x: stream.count(x) for x in set(stream)}
-    assert sk.estimates() == truth
+    assert sk.result().estimates_dict() == truth
 
 
 @settings(max_examples=80, deadline=None)
@@ -57,7 +57,7 @@ def test_exact_when_capacity_sufficient(stream, seed):
 def test_deterministic_error_bound(stream, m, seed):
     sk = DeterministicSpaceSaving.from_stream(stream, m, seed=seed)
     for x in set(stream):
-        assert abs(sk.estimate(x) - stream.count(x)) <= len(stream) / m
+        assert abs(sk.result().estimate(x) - stream.count(x)) <= len(stream) / m
 
 
 @settings(max_examples=50, deadline=None)
@@ -66,5 +66,5 @@ def test_misra_gries_isomorphism_property(stream, m, seed):
     mg = MisraGries(m)
     mg.update_many(stream)
     ss = DeterministicSpaceSaving.from_stream(stream, m + 1, seed=seed)
-    assert mg.estimates() == ss.misra_gries_view()
+    assert mg.estimates() == misra_gries_view(ss.result())
     assert mg.decrements == ss.n_min

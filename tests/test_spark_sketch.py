@@ -14,8 +14,8 @@ from pyspark.sql import functions as F
 
 from repro.core import spark_sketch
 from repro.core.spark_sketch import exact_counts, sketch_dataframe
-from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem
+from tests.oracle import assert_equivalent
 
 # Priority sampling is the operator's one spill reduction; the id names it
 # in the test ids.

@@ -24,30 +24,37 @@ class TestBasics:
     def test_bad_weight_rejected_before_any_change(self, bad):
         sk = WeightedUnbiasedSpaceSaving(2, seed=0)
         sk.update_many("abc")
-        before = (sk.t, sk.estimates())
+        before = (sk.t, sk.result().estimates_dict())
         for item in ("a", "d"):  # held and absent
             with pytest.raises(ValueError, match="finite and non-negative"):
                 sk.add(item, bad)
-        assert (sk.t, sk.estimates()) == before
+        assert (sk.t, sk.result().estimates_dict()) == before
 
     def test_exact_when_under_capacity(self):
         sk = WeightedUnbiasedSpaceSaving(5, seed=0)
         sk.add("a", 2.5)
         sk.add("b", 1.0)
         sk.add("a", 0.5)
-        assert sk.estimates() == {"a": 3.0, "b": 1.0}
+        assert sk.result().estimates_dict() == {"a": 3.0, "b": 1.0}
         assert sk.t == 4.0
 
     def test_size_bounded(self):
         sk = WeightedUnbiasedSpaceSaving(4, seed=1)
         for i in range(100):
             sk.add(i, 1.0 + (i % 7))
-        assert len(sk.estimates()) <= 4
+        assert len(sk.result().estimates_dict()) <= 4
 
     def test_update_many_unit_weights(self):
         sk = WeightedUnbiasedSpaceSaving(10, seed=0)
         sk.update_many(list("aabbb"))
-        assert sk.estimates() == {"a": 2.0, "b": 3.0}
+        assert sk.result().estimates_dict() == {"a": 2.0, "b": 3.0}
+
+    @pytest.mark.parametrize("n_weights", [2, 4])
+    def test_update_many_rejects_mismatched_lengths(self, n_weights):
+        # zip would stop at the shorter input and drop the other's rows
+        sk = WeightedUnbiasedSpaceSaving(10, seed=0)
+        with pytest.raises(ValueError):
+            sk.update_many(list("abc"), [1.0] * n_weights)
 
     def test_result_container(self):
         sk = WeightedUnbiasedSpaceSaving(10, seed=0)
@@ -68,7 +75,7 @@ class TestBasics:
             for z in range(zeros):
                 sk.add(f"zero{z}", 0.0)
             res = sk.result()
-        est = sk.estimates()
+        est = sk.result().estimates_dict()
         assert not any(x.startswith("zero") for x in est)
         assert np.isfinite(res.estimates).all() and np.isfinite(res.threshold)
         assert np.isclose(sum(est.values()), sk.t)
@@ -87,7 +94,7 @@ class TestUnbiasedness:
             for j in order:
                 sk.add(*rows[j])
             for i in weights:
-                acc[i] += sk.estimates().get(i, 0.0)
+                acc[i] += sk.result().estimates_dict().get(i, 0.0)
         means = acc / reps
         for i, w in weights.items():
             assert abs(means[i] - w) < 0.15 * w + 0.3, (i, means[i], w)
@@ -117,7 +124,7 @@ class TestUnbiasedness:
             for x, v in sk.result().estimates_dict().items():
                 mid[r, x] = v
             sk.update_many(range(40), w.tolist())
-            for x, v in sk.estimates().items():
+            for x, v in sk.result().estimates_dict().items():
                 end[r, x] = v
         assert len(spills) >= 5 * reps
         for est, truth in ((mid, 2 * w), (end, 3 * w)):
@@ -132,7 +139,7 @@ class TestUnbiasedness:
             sk = WeightedUnbiasedSpaceSaving(2, seed=r)
             for i in range(10):
                 sk.add(i, float(i + 1))
-            tot += sum(sk.estimates().values())
+            tot += sum(sk.result().estimates_dict().values())
         assert abs(tot / reps - 55.0) < 0.06 * 55.0
 
 
@@ -163,7 +170,7 @@ class TestReduction:
         hits = np.zeros(len(keys))
         for r in range(self.REPS):
             sk = _spill(values, m, r)
-            kept = sk.estimates() if query else sk._values
+            kept = sk.result().estimates_dict() if query else sk._values
             assert len(kept) == m
             hits += [x in kept for x in keys]
         want = thresholded_pps_probs(np.array(list(values.values())), m)
@@ -204,7 +211,7 @@ class TestReduction:
         want = self._check_inclusion(values, 6)
         assert want[-1] == 1.0  # the heavy item is always kept ...
         for r in range(20):
-            est = _spill(values, 6, r).estimates()
+            est = _spill(values, 6, r).result().estimates_dict()
             assert est[len(values) - 1] == 1e3  # ... with its exact value
 
     def test_single_bin(self):
@@ -213,7 +220,7 @@ class TestReduction:
         want = self._check_inclusion(values, 1, query=True)
         assert np.allclose(want, [2 / 3, 1 / 3])
         for r in range(10):
-            assert list(_spill(values, 1, r).estimates().values()) == [3.0]
+            assert list(_spill(values, 1, r).result().estimates_dict().values()) == [3.0]
 
     @pytest.mark.parametrize("first, before", [(("a",), 0.0), (("a", "b"), 2.0)])
     def test_negligible_unit_dropped(self, first, before):
@@ -224,7 +231,7 @@ class TestReduction:
             sk.add(x, 1.0)
         assert sk.result().threshold == before  # two items reduce to one
         sk.add("big", 1e20)
-        assert sk.estimates() == {"big": 1e20}
+        assert sk.result().estimates_dict() == {"big": 1e20}
         assert sk.result().threshold == before
 
 
@@ -235,7 +242,7 @@ class TestState:
         weights = (1.0 + rng.pareto(1.5, 20_000)).tolist()
         sk = WeightedUnbiasedSpaceSaving(50, seed=5)
         sk.update_many(items, weights)
-        est = sk.estimates()
+        est = sk.result().estimates_dict()
         assert len(est) == 50
         assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
         assert math.isclose(sk.t, math.fsum(weights), rel_tol=1e-9)
@@ -250,8 +257,8 @@ class TestState:
         second.update_many(items)
         assert len(first._values) > m
         res = first.result()
-        est = second.estimates()
-        assert res.estimates_dict() == est == first.estimates()
+        est = second.result().estimates_dict()
+        assert res.estimates_dict() == est == first.result().estimates_dict()
         assert res.threshold == second.result().threshold > 0
         assert len(est) == m and min(est.values()) > 0
 
