@@ -43,9 +43,9 @@ def test_weighted_miss_heavy(benchmark, m):
 
     sk = benchmark(run)
     _record(benchmark)
-    est = sk.result().estimates_dict()
-    assert len(est) == m
-    assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
+    res = sk.result()
+    assert len(res) == m
+    assert math.isclose(res.estimates.sum(), res.t, rel_tol=1e-9)
 
 
 def test_forward_decay(benchmark):

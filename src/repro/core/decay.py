@@ -14,47 +14,73 @@ landmark starts at time 0. Before ``g`` can overflow, it moves forward
 to the current time and the sketch is scaled by ``exp(-lambda *
 shift)``; one positive factor keeps every estimate unbiased.
 
-The decayed weights feed a :class:`WeightedUnbiasedSpaceSaving`, which
-holds them exactly in a dict of up to ``SPILL_FACTOR * m`` items and
-reduces it to m with one PPS sample when it overflows and at each query.
-A bad weight (null, negative, NaN or infinite) or timestamp raises
-``ValueError`` before the clock or the landmark moves.
+:class:`ForwardDecaySpaceSaving` is a
+:class:`~repro.core.weighted.WeightedUnbiasedSpaceSaving` whose ``add``
+takes a timestamp: in one frame it scales the row's weight by ``g`` and
+updates the exact dict of up to ``SPILL_FACTOR * m`` items, which the
+inherited reduction brings to m with one PPS sample when it overflows
+and at each query. A null, negative, NaN or infinite weight, a NaN,
+infinite or decreasing timestamp, or a weight that overflows once scaled
+raises ``ValueError`` before the sketch, the clock or the landmark
+changes.
 """
 from __future__ import annotations
 
-import math
+from math import exp, inf, isfinite
 from typing import Hashable
 
 from repro.core.result import CountSketchResult
-from repro.core.weighted import WeightedUnbiasedSpaceSaving, check_weight
+from repro.core.weighted import WeightedUnbiasedSpaceSaving, weight_error
 
 #: largest exponent ``lambda * (t - landmark)`` before the landmark moves
 #: (``exp`` overflows past ~709)
 _MAX_EXPONENT = 300.0
 
 
-class ForwardDecaySpaceSaving:
+def _time_error(time, last: float) -> ValueError:
+    if isfinite(time):
+        return ValueError(
+            f"forward decay requires non-decreasing timestamps, got {time!r} after {last!r}"
+        )
+    return ValueError(f"timestamp must be finite, got {time!r}")
+
+
+class ForwardDecaySpaceSaving(WeightedUnbiasedSpaceSaving):
     """Exponentially time-decayed unbiased count sketch."""
 
     def __init__(self, m: int, *, rate: float, seed: int | None = None):
-        if rate < 0:
-            raise ValueError("decay rate must be >= 0")
+        if not 0.0 <= rate < inf:
+            raise ValueError(f"decay rate must be finite and >= 0, got {rate!r}")
+        super().__init__(m, seed=seed)
         self.rate = rate
         self.landmark = 0.0
-        self._inner = WeightedUnbiasedSpaceSaving(m, seed=seed)
         self._last_time = 0.0
 
     def add(self, item: Hashable, time: float, weight: float = 1.0) -> None:
         """Add a row for ``item`` stamped ``time`` (monotone non-decreasing)."""
-        if time < self._last_time:
-            raise ValueError("forward decay requires non-decreasing timestamps")
-        check_weight(weight)
+        if not self._last_time <= time < inf:
+            raise _time_error(time, self._last_time)
+        if weight is None or not 0.0 <= weight < inf:
+            raise weight_error(weight)
         a = self.rate * (time - self.landmark)
         if a > _MAX_EXPONENT:
-            self._inner._scale(math.exp(-a))
+            self._scale(exp(-a))
             self.landmark = time
             a = 0.0
-        self._inner.add(item, weight * math.exp(a))
+        w = weight * exp(a)
+        if not w < inf:  # possible only if the landmark did not move: nothing has changed
+            raise ValueError(
+                f"weight {weight!r} at time {time!r} overflows once scaled by "
+                f"exp({a!r}) from the landmark {self.landmark!r}"
+            )
+        self._t += w
+        values = self._values
+        if item in values:
+            values[item] += w
+        elif w:
+            values[item] = w
+            if len(values) > self._cap:
+                self._reduce()
         self._last_time = time  # only an accepted row moves the clock
 
     def result(self, query_time: float | None = None) -> CountSketchResult:
@@ -65,8 +91,8 @@ class ForwardDecaySpaceSaving:
         item's rows, unbiasedly.
         """
         qt = self._last_time if query_time is None else query_time
-        norm = math.exp(self.rate * (qt - self.landmark))
-        raw = self._inner.result()
-        return CountSketchResult(
-            raw.items, raw.estimates / norm, raw.threshold / norm, raw.t / norm
-        )
+        try:
+            norm = exp(self.rate * (qt - self.landmark))
+        except OverflowError:  # decayed past the float range: every estimate reads 0
+            norm = inf
+        return self._result(norm)

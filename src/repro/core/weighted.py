@@ -21,14 +21,17 @@ eq. 5. ``result()``, the sketch's one read, reduces in place to at most
 m items first, so between queries the sketch holds up to ``SPILL_FACTOR
 * m`` items and a query sees at most m.
 
-This class is the substrate for time-decayed aggregation
-(:mod:`repro.core.decay`). Weights are real and non-negative: a null,
-negative, NaN or infinite weight raises ``ValueError``.
+Rows arrive one at a time through ``add``, which checks its weight
+inline: weights are real and non-negative, and a null, negative, NaN or
+infinite weight raises ``ValueError`` before any state changes. The
+time-decayed sketch (:mod:`repro.core.decay`) subclasses this one: its
+own one-frame ``add`` scales each weight and updates the same dict, and
+it shares ``_reduce``, ``_scale`` and ``_result``.
 """
 from __future__ import annotations
 
 from math import inf
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -37,10 +40,9 @@ from repro.core.result import CountSketchResult, item_array
 from repro.sampling.pps import splitting_pps_sample
 
 
-def check_weight(weight) -> None:
-    """Raise ``ValueError`` unless ``weight`` is finite and non-negative."""
-    if weight is None or not 0.0 <= weight < inf:
-        raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
+def weight_error(weight) -> ValueError:
+    """The error of a row whose weight is null, negative, NaN or infinite."""
+    return ValueError(f"weight must be finite and non-negative, got {weight!r}")
 
 
 class WeightedUnbiasedSpaceSaving:
@@ -62,7 +64,8 @@ class WeightedUnbiasedSpaceSaving:
 
     def add(self, item: Hashable, weight: float = 1.0) -> None:
         """Add ``weight`` mass for ``item`` (unbiased after reduction)."""
-        check_weight(weight)
+        if weight is None or not 0.0 <= weight < inf:
+            raise weight_error(weight)
         self._t += weight
         values = self._values
         if item in values:
@@ -101,31 +104,15 @@ class WeightedUnbiasedSpaceSaving:
         self._threshold *= f
         self._values = {x: s for x, v in self._values.items() if (s := v * f)}
 
-    def update_many(
-        self, items: Iterable[Hashable], weights: Iterable[float] | None = None
-    ) -> None:
-        """Add rows (unit weight when ``weights`` is None).
-
-        ``items`` and ``weights`` must have equal lengths: a mismatch
-        raises ``ValueError`` once the shorter one runs out, after the
-        rows before it are added.
-        """
-        if weights is None:
-            for x in items:
-                self.add(x, 1.0)
-        else:
-            for x, w in zip(items, weights, strict=True):
-                self.add(x, w)
-
-    @property
-    def t(self) -> float:
-        """Total weight ingested."""
-        return self._t
-
     def result(self) -> CountSketchResult:
         """Snapshot as a :class:`CountSketchResult`, after a reduction to <= m."""
+        return self._result(1.0)
+
+    def _result(self, norm: float) -> CountSketchResult:
+        """Reduce to <= m, then snapshot every value, the threshold and
+        ``t``, each divided by ``norm > 0`` (``inf`` reads them all as 0)."""
         self._reduce()
         est = self._values
         items = item_array(list(est))
         vals = np.fromiter(est.values(), dtype=np.float64, count=len(est))
-        return CountSketchResult(items, vals, self._threshold, self._t)
+        return CountSketchResult(items, vals / norm, self._threshold / norm, self._t / norm)

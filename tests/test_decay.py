@@ -4,13 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import weighted
 from repro.core.decay import ForwardDecaySpaceSaving
+from repro.core.weighted import SPILL_FACTOR, WeightedUnbiasedSpaceSaving
+
+
+def _state(sk):
+    """Everything a rejected row must leave as it was."""
+    return sk._t, dict(sk._values), sk.landmark, sk._last_time
 
 
 class TestForwardDecay:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ForwardDecaySpaceSaving(5, rate=-1.0)
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_validation(self, rate):
+        with pytest.raises(ValueError, match="decay rate"):
+            ForwardDecaySpaceSaving(5, rate=rate)
 
     def test_timestamps_must_be_monotone(self):
         sk = ForwardDecaySpaceSaving(5, rate=0.1, seed=0)
@@ -146,3 +154,103 @@ class TestForwardDecay:
         sk.add("later", 2_000.0)
         assert sk.result().estimates_dict() == {"late": 2.0, "later": 1.0}
         assert sk.result().t == 3.0
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_time_rejected(self, rate, bad):
+        # an infinite time used to give a = inf, scale every bin and t to 0
+        # and move the landmark to inf; a NaN time read as a NaN weight
+        sk = ForwardDecaySpaceSaving(4, rate=rate, seed=0)
+        sk.add("a", 0.0)
+        sk.add("b", 1.0)
+        before = _state(sk)
+        with pytest.raises(ValueError, match=f"timestamp must be finite, got {bad!r}"):
+            sk.add("c", bad)
+        assert _state(sk) == before
+        want = {"a": math.exp(-rate), "b": 1.0}
+        assert sk.result().estimates_dict() == pytest.approx(want, rel=1e-12)
+
+    def test_decreasing_time_names_both_times(self):
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        sk.add("a", 2.0)
+        with pytest.raises(ValueError, match="got 1.0 after 2.0"):
+            sk.add("b", 1.0)
+
+    @pytest.mark.parametrize("query_time", [1_000.0, math.inf])
+    def test_query_long_after_the_landmark(self, query_time):
+        # exp(rate * 999) overflows; the decayed mass underflows to 0
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        sk.add("a", 0.0)
+        sk.add("b", 1.0)
+        res = sk.result(query_time)
+        assert res.estimates_dict() == {"a": 0.0, "b": 0.0}
+        assert (res.t, res.threshold) == (0.0, 0.0)
+        assert sk.result(1.0).estimates_dict() == pytest.approx(
+            {"a": math.exp(-1.0), "b": 1.0}, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("time, weight", [(1.0, 1e308), (250.0, 1e200)])
+    def test_weight_overflowing_once_scaled_rejected(self, time, weight):
+        # the weight itself is finite; weight * exp(rate * time) is not
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        sk.add("a", 0.0)
+        sk.add("b", 0.5, 2.0)
+        before = _state(sk)
+        with pytest.raises(ValueError, match="overflows once scaled"):
+            sk.add("a", time, weight)
+        with pytest.raises(ValueError, match="overflows once scaled"):
+            sk.add("new", time, weight)
+        assert _state(sk) == before
+        sk.add("c", 0.75)  # the clock did not move to ``time``
+        assert len(sk.result()) == 3
+
+    def test_landmark_move_rescales_before_the_weight(self):
+        # a = 500 moves the landmark first, so a weight that would
+        # overflow against the old landmark is accepted unscaled
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        sk.add("a", 0.0)
+        sk.add("b", 500.0, 1e308)
+        assert sk.landmark == 500.0
+        assert sk.result().estimates_dict() == {"a": math.exp(-500.0), "b": 1e308}
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    def test_same_reduction_as_the_weighted_sketch(self, rate, monkeypatch):
+        # same seed, same rows: with the weights scaled by exp(rate * t)
+        # (no landmark move here), both paths hold the same dict and make
+        # the same draws, so the results are bit-identical through spills
+        real, spills = weighted.splitting_pps_sample, []
+
+        def counted(*args):
+            spills.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(weighted, "splitting_pps_sample", counted)
+        m = 3
+        rng = np.random.default_rng(7)
+        items = rng.integers(0, 60, 40 * SPILL_FACTOR * m).tolist()
+        weights = rng.uniform(0.5, 2.0, len(items)).tolist()
+        times = np.linspace(0.0, 100.0, len(items)).tolist()
+        dec = ForwardDecaySpaceSaving(m, rate=rate, seed=3)
+        ref = WeightedUnbiasedSpaceSaving(m, seed=3)
+        for k, (x, t, w) in enumerate(zip(items, times, weights)):
+            dec.add(x, t, w)
+            ref.add(x, w * math.exp(rate * t))
+            if k % 500 == 499:  # a query reduces in place too
+                got, want = dec.result(0.0), ref.result()
+                assert got.items.tolist() == want.items.tolist()
+                assert got.estimates.tobytes() == want.estimates.tobytes()
+                assert (got.threshold, got.t) == (want.threshold, want.t)
+        assert len(spills) >= 10 and dec.landmark == 0.0
+        got, want = dec.result(0.0), ref.result()
+        assert got.items.tolist() == want.items.tolist()
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert (got.threshold, got.t) == (want.threshold, want.t) and want.threshold > 0
+        if rate == 0.0:  # at rate 0 every query time reads the same
+            assert dec.result().estimates.tobytes() == want.estimates.tobytes()
+
+    def test_no_reader_that_misreads_rows(self):
+        # an inherited update_many(items, weights) would take the weights
+        # for timestamps, and an inherited t would read landmark-scaled mass
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        assert not hasattr(sk, "update_many")
+        assert not hasattr(sk, "t")

@@ -196,9 +196,11 @@ class TestMergeUnbiased:
 
     def test_weighted_sketches(self):
         a = WeightedUnbiasedSpaceSaving(10, seed=0)
-        a.update_many("aab", [1.0, 2.0, 0.5])
+        for x, w in zip("aab", [1.0, 2.0, 0.5]):
+            a.add(x, w)
         b = WeightedUnbiasedSpaceSaving(10, seed=1)
-        b.update_many("bc", [1.5, 4.0])
+        for x, w in zip("bc", [1.5, 4.0]):
+            b.add(x, w)
         res = merge_unbiased([a, b], 10, rng=np.random.default_rng(0))
         assert res.estimates_dict() == {"a": 3.0, "b": 2.0, "c": 4.0}
 
@@ -222,7 +224,8 @@ class TestMergeUnbiased:
             s = _sketch(rows, 5, 0)
         else:
             s = WeightedUnbiasedSpaceSaving(5, seed=0)
-            s.update_many(rows)
+            for x in rows:
+                s.add(x)
         res = merge_unbiased([s, s], 5, rng=np.random.default_rng(0))
         assert res.items.shape == (2,)
         assert res.estimates_dict() == {("x", 1): 4.0, ("y", 2): 2.0}

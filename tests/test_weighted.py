@@ -10,6 +10,14 @@ from repro.core.weighted import SPILL_FACTOR, WeightedUnbiasedSpaceSaving
 from repro.sampling.pps import thresholded_pps_probs
 
 
+def _fill(sk, items, weights=None):
+    """One ``add`` per item, with unit weights unless ``weights`` is given."""
+    if weights is None:
+        weights = [1.0] * len(items)
+    for x, w in zip(items, weights, strict=True):
+        sk.add(x, w)
+
+
 class TestBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -23,12 +31,14 @@ class TestBasics:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, None])
     def test_bad_weight_rejected_before_any_change(self, bad):
         sk = WeightedUnbiasedSpaceSaving(2, seed=0)
-        sk.update_many("abc")
-        before = (sk.t, sk.result().estimates_dict())
+        _fill(sk, "abc")
+        res = sk.result()
+        before = (res.t, res.estimates_dict())
         for item in ("a", "d"):  # held and absent
             with pytest.raises(ValueError, match="finite and non-negative"):
                 sk.add(item, bad)
-        assert (sk.t, sk.result().estimates_dict()) == before
+        res = sk.result()
+        assert (res.t, res.estimates_dict()) == before
 
     def test_exact_when_under_capacity(self):
         sk = WeightedUnbiasedSpaceSaving(5, seed=0)
@@ -36,7 +46,7 @@ class TestBasics:
         sk.add("b", 1.0)
         sk.add("a", 0.5)
         assert sk.result().estimates_dict() == {"a": 3.0, "b": 1.0}
-        assert sk.t == 4.0
+        assert sk.result().t == 4.0
 
     def test_size_bounded(self):
         sk = WeightedUnbiasedSpaceSaving(4, seed=1)
@@ -44,21 +54,15 @@ class TestBasics:
             sk.add(i, 1.0 + (i % 7))
         assert len(sk.result().estimates_dict()) <= 4
 
-    def test_update_many_unit_weights(self):
+    def test_unit_weight_by_default(self):
         sk = WeightedUnbiasedSpaceSaving(10, seed=0)
-        sk.update_many(list("aabbb"))
+        for x in "aabbb":
+            sk.add(x)
         assert sk.result().estimates_dict() == {"a": 2.0, "b": 3.0}
-
-    @pytest.mark.parametrize("n_weights", [2, 4])
-    def test_update_many_rejects_mismatched_lengths(self, n_weights):
-        # zip would stop at the shorter input and drop the other's rows
-        sk = WeightedUnbiasedSpaceSaving(10, seed=0)
-        with pytest.raises(ValueError):
-            sk.update_many(list("abc"), [1.0] * n_weights)
 
     def test_result_container(self):
         sk = WeightedUnbiasedSpaceSaving(10, seed=0)
-        sk.update_many(list("aabbb"))
+        _fill(sk, "aabbb")
         res = sk.result()
         assert res.t == 5.0
         assert res.estimate("b") == 3.0
@@ -78,7 +82,7 @@ class TestBasics:
         est = sk.result().estimates_dict()
         assert not any(x.startswith("zero") for x in est)
         assert np.isfinite(res.estimates).all() and np.isfinite(res.threshold)
-        assert np.isclose(sum(est.values()), sk.t)
+        assert np.isclose(sum(est.values()), res.t)
 
 
 class TestUnbiasedness:
@@ -117,13 +121,13 @@ class TestUnbiasedness:
         end = np.zeros((reps, 40))
         for r in range(reps):
             sk = WeightedUnbiasedSpaceSaving(2, seed=r)
-            sk.update_many(range(40), w.tolist())
-            sk.update_many(range(40), w.tolist())
+            _fill(sk, range(40), w.tolist())
+            _fill(sk, range(40), w.tolist())
             if r == 0:
                 assert len(spills) >= 3
             for x, v in sk.result().estimates_dict().items():
                 mid[r, x] = v
-            sk.update_many(range(40), w.tolist())
+            _fill(sk, range(40), w.tolist())
             for x, v in sk.result().estimates_dict().items():
                 end[r, x] = v
         assert len(spills) >= 5 * reps
@@ -241,11 +245,12 @@ class TestState:
         items = rng.integers(0, 10**6, 20_000).tolist()
         weights = (1.0 + rng.pareto(1.5, 20_000)).tolist()
         sk = WeightedUnbiasedSpaceSaving(50, seed=5)
-        sk.update_many(items, weights)
-        est = sk.result().estimates_dict()
+        _fill(sk, items, weights)
+        res = sk.result()
+        est = res.estimates_dict()
         assert len(est) == 50
-        assert math.isclose(sum(est.values()), sk.t, rel_tol=1e-9)
-        assert math.isclose(sk.t, math.fsum(weights), rel_tol=1e-9)
+        assert math.isclose(sum(est.values()), res.t, rel_tol=1e-9)
+        assert math.isclose(res.t, math.fsum(weights), rel_tol=1e-9)
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_estimates_and_result_agree(self, m):
@@ -253,8 +258,8 @@ class TestState:
         rng = np.random.default_rng(2)
         items = rng.integers(0, 100, 30 * m).tolist()
         first, second = (WeightedUnbiasedSpaceSaving(m, seed=2) for _ in range(2))
-        first.update_many(items)
-        second.update_many(items)
+        _fill(first, items)
+        _fill(second, items)
         assert len(first._values) > m
         res = first.result()
         est = second.result().estimates_dict()
@@ -291,7 +296,7 @@ class TestState:
 
     def test_tuple_keys_result(self):
         sk = WeightedUnbiasedSpaceSaving(4, seed=0)
-        sk.update_many([("a", 1), ("b", 2), ("a", 1)], [1.0, 2.0, 3.0])
+        _fill(sk, [("a", 1), ("b", 2), ("a", 1)], [1.0, 2.0, 3.0])
         res = sk.result()
         assert res.items.shape == (2,)
         assert res.estimates_dict() == {("a", 1): 4.0, ("b", 2): 2.0}
