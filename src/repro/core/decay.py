@@ -21,8 +21,11 @@ updates the exact dict of up to ``SPILL_FACTOR * m`` items, which the
 inherited reduction brings to m with one PPS sample when it overflows
 and at each query. A null, negative, NaN or infinite weight, a NaN,
 infinite or decreasing timestamp, or a weight that overflows once scaled
-raises ``ValueError`` before the sketch, the clock or the landmark
-changes.
+or overflows the total mass once added raises ``ValueError`` before the
+sketch, the clock or the landmark changes. A query time before the
+last row extrapolates: the estimates grow by ``exp(lambda * gap)``, and
+a query so far before the landmark that they overflow raises
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from math import exp, inf, isfinite
 from typing import Hashable
 
 from repro.core.result import CountSketchResult
-from repro.core.weighted import WeightedUnbiasedSpaceSaving, weight_error
+from repro.core.weighted import WeightedUnbiasedSpaceSaving, mass_error, weight_error
 
 #: largest exponent ``lambda * (t - landmark)`` before the landmark moves
 #: (``exp`` overflows past ~709)
@@ -68,12 +71,17 @@ class ForwardDecaySpaceSaving(WeightedUnbiasedSpaceSaving):
             self.landmark = time
             a = 0.0
         w = weight * exp(a)
-        if not w < inf:  # possible only if the landmark did not move: nothing has changed
+        t = self._t + w
+        # t overflows only if the landmark did not move, so nothing has changed:
+        # a move scales t below 1e178, and 1e178 + a finite weight rounds to finite
+        if t == inf:
+            if w < inf:
+                raise mass_error(w, self._t)
             raise ValueError(
                 f"weight {weight!r} at time {time!r} overflows once scaled by "
                 f"exp({a!r}) from the landmark {self.landmark!r}"
             )
-        self._t += w
+        self._t = t
         values = self._values
         if item in values:
             values[item] += w
@@ -88,11 +96,18 @@ class ForwardDecaySpaceSaving(WeightedUnbiasedSpaceSaving):
 
         Estimates are normalized to ``query_time`` (the last row's time
         when None): each estimates ``sum_rows exp(-rate * age)`` for the
-        item's rows, unbiasedly.
+        item's rows, unbiasedly. A query time before the last row
+        extrapolates, with negative ages; one so far before the landmark
+        that the total mass would overflow raises ``ValueError``.
         """
         qt = self._last_time if query_time is None else query_time
         try:
             norm = exp(self.rate * (qt - self.landmark))
         except OverflowError:  # decayed past the float range: every estimate reads 0
             norm = inf
+        if norm == 0.0 or self._t / norm == inf:
+            raise ValueError(
+                f"query_time {qt!r} lies too far before the landmark "
+                f"{self.landmark!r}: the decayed estimates overflow"
+            )
         return self._result(norm)

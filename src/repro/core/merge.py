@@ -75,7 +75,8 @@ def reduce_counts(
     priority sampling.
 
     Zero counts are dropped first: their estimate is 0 either way. The
-    others must be positive and finite, as :func:`priority_sample` checks.
+    others must be positive and finite and ``m`` at least 1, as
+    :func:`priority_sample` checks.
     """
     counts = np.asarray(counts, dtype=np.float64)
     nz = counts != 0

@@ -23,7 +23,8 @@ m items first, so between queries the sketch holds up to ``SPILL_FACTOR
 
 Rows arrive one at a time through ``add``, which checks its weight
 inline: weights are real and non-negative, and a null, negative, NaN or
-infinite weight raises ``ValueError`` before any state changes. The
+infinite weight, or one that would overflow the total mass ``t``,
+raises ``ValueError`` before any state changes. The
 time-decayed sketch (:mod:`repro.core.decay`) subclasses this one: its
 own one-frame ``add`` scales each weight and updates the same dict, and
 it shares ``_reduce``, ``_scale`` and ``_result``.
@@ -43,6 +44,11 @@ from repro.sampling.pps import splitting_pps_sample
 def weight_error(weight) -> ValueError:
     """The error of a row whose weight is null, negative, NaN or infinite."""
     return ValueError(f"weight must be finite and non-negative, got {weight!r}")
+
+
+def mass_error(weight: float, t: float) -> ValueError:
+    """The error of a row whose weight would overflow the total mass ``t``."""
+    return ValueError(f"weight {weight!r} overflows the total mass {t!r}")
 
 
 class WeightedUnbiasedSpaceSaving:
@@ -66,7 +72,10 @@ class WeightedUnbiasedSpaceSaving:
         """Add ``weight`` mass for ``item`` (unbiased after reduction)."""
         if weight is None or not 0.0 <= weight < inf:
             raise weight_error(weight)
-        self._t += weight
+        t = self._t + weight
+        if t == inf:
+            raise mass_error(weight, self._t)
+        self._t = t
         values = self._values
         if item in values:
             values[item] += weight

@@ -1,11 +1,14 @@
-"""Shared experiment machinery: parallel replication, one row format and
-one per-query error summary.
+"""Shared experiment machinery: one replication, one row format and one
+per-query error summary.
 
-Every table is Monte-Carlo replications of per-query estimates.
-:func:`run_replications` fans a per-seed function out over the local
-cores with ``spark.range(...).mapInPandas`` (DataFrame API; the closure
-ships via cloudpickle), collecting each replication's rows into one
-pandas frame. Each replication packs its estimates with
+Every streaming table (T1-T4, T6-T8) is :func:`replicate`: Monte-Carlo
+replications that arrange a stream, sketch it (or draw a pre-aggregated
+baseline) and answer every subset query with an estimate, its eq.-5
+variance and interval, and ``C_S``. :func:`run_replications` fans a
+per-seed function out over the local cores with
+``spark.range(...).mapInPandas`` (DataFrame API; the closure ships via
+cloudpickle), collecting each replication's rows into one pandas frame;
+T5 calls it directly. Each replication packs its values with
 :func:`replication_rows` into the long format of :data:`ROW_SCHEMA`;
 :func:`query_summary` turns those rows into bias, RRMSE, SD and (where
 the rows carry intervals) coverage per (method, query). The tables add
@@ -13,7 +16,7 @@ only their own bucketing.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -21,9 +24,12 @@ from pyspark.sql import SparkSession
 
 from repro.core.variance import coverage
 
-#: schema of :func:`replication_rows` frames; a table whose rows carry more
-#: columns (``lo``/``hi``, an eq.-5 ``var``) appends them to this string
+#: schema of :func:`replication_rows` frames that carry only an estimate
 ROW_SCHEMA = "seed long, method string, query long, est double"
+
+#: schema of :func:`replicate` rows: ``subset_sum_ci``'s estimate, eq.-5
+#: variance and interval, then ``subset_sum``'s ``C_S``
+REPLICATE_SCHEMA = ROW_SCHEMA + ", var double, lo double, hi double, c_s long"
 
 
 def run_replications(
@@ -51,6 +57,45 @@ def run_replications(
                     yield out
 
     return reps.mapInPandas(runner, schema=schema).toPandas()
+
+
+def replicate(
+    spark: SparkSession,
+    arrange: Callable[[np.random.Generator], np.ndarray],
+    queries: Sequence[set],
+    m: int,
+    n_reps: int,
+    *,
+    methods: dict[str, Callable],
+    base_seed: int = 0,
+) -> pd.DataFrame:
+    """``n_reps`` replications of every method's answer to every query.
+
+    Replication ``seed`` draws ``rng = default_rng(seed)`` and then the
+    stream ``arrange(rng)``. Each method, in the order given, is either
+    a Space Saving class, which sketches the stream with ``m`` bins and
+    ``seed=seed``, or a pre-aggregated baseline ``sampler(m, rng)``,
+    which draws from the same ``rng`` after the arrangement. Returns
+    :func:`replication_rows` of :data:`REPLICATE_SCHEMA`, method by
+    method in the order given.
+    """
+
+    def one_rep(seed: int) -> pd.DataFrame:
+        rng = np.random.default_rng(seed)
+        stream = arrange(rng).tolist()
+        by_method = {}
+        for method, make in methods.items():
+            if isinstance(make, type):
+                res = make.from_stream(stream, m, seed=seed).result()
+            else:
+                res = make(m, rng)
+            recs = [(*res.subset_sum_ci(q), res.subset_sum(q)[1]) for q in queries]
+            by_method[method] = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))
+        return replication_rows(seed, by_method)
+
+    return run_replications(
+        spark, n_reps, one_rep, REPLICATE_SCHEMA, base_seed=base_seed
+    )
 
 
 def rrmse(estimates: np.ndarray, truth: float) -> float:

@@ -1,32 +1,25 @@
 """The synthetic subset-sum sweep of Tables T2-T4 (Figures 3-5).
 
-A sweep fixes a discretized-Weibull count vector and a set of random
-item subsets, the paper's arbitrary filter conditions
-(:func:`sweep_config`). The three tables run one experiment,
-:func:`replicate`: each replication sketches a fresh permutation of the
-stream with Unbiased Space Saving and draws the table's pre-aggregated
-baseline, if any, from the exact counts; every method answers every
-query. :func:`summarize` buckets ``common.query_summary``'s per-subset
-relative root mean squared error (RRMSE) by the subset's true count
-(the x-axis of the figures). The tables differ only in the Weibull
-shapes they sweep, the baseline they pass and, for T4, one extra query.
+A sweep fixes a discretized-Weibull count vector, a set of random item
+subsets, the paper's arbitrary filter conditions, and the arrangement
+of the stream as a fresh permutation per replication
+(:func:`sweep_config`). The three tables run it through
+``common.replicate``: Unbiased Space Saving sketches the permuted
+stream, the table's pre-aggregated baseline, if any, samples the exact
+counts, and every method answers every query. :func:`summarize` buckets
+``common.query_summary``'s per-subset relative root mean squared error
+(RRMSE) by the subset's true count (the x-axis of the figures). The
+tables differ only in the Weibull shapes they sweep, the baseline they
+pass and, for T4, one extra query.
 """
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
-from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import (
-    bucket_by_quantile,
-    draw_subsets,
-    query_summary,
-    replication_rows,
-    run_replications,
-)
+from repro.experiments.common import bucket_by_quantile, draw_subsets, query_summary
 from repro.streams.orders import permuted_stream
 from repro.streams.weibull import weibull_counts
 
@@ -39,7 +32,8 @@ def sweep_config(
     subset_size: int,
     n_subsets: int,
 ) -> dict:
-    """Counts, subsets (as item sets), and truths shared by every
+    """Counts, subsets (as item sets), truths and the arrangement
+    ``arrange(rng)``, a permutation of the stream, shared by every
     replication."""
     counts = weibull_counts(n_items, shape=shape, target_total=total)
     subsets = draw_subsets(len(counts), subset_size, n_subsets)
@@ -49,49 +43,8 @@ def sweep_config(
         "sets": [set(s.tolist()) for s in subsets],
         "truths": truths,
         "total": float(counts.sum()),
+        "arrange": partial(permuted_stream, counts),
     }
-
-
-def replicate(
-    spark: SparkSession,
-    counts: np.ndarray,
-    queries: list[set],
-    m: int,
-    n_reps: int,
-    *,
-    baselines: dict[str, Callable],
-    base_seed: int = 0,
-) -> pd.DataFrame:
-    """``n_reps`` replications of every method's estimate of every query.
-
-    Replication ``seed`` draws ``rng = default_rng(seed)``, permutes the
-    stream with it, sketches the stream with an m-bin
-    ``UnbiasedSpaceSaving(seed=seed)``, and then calls each baseline,
-    ``sampler(item_ids, counts, m, rng)``, on the exact counts with the
-    same ``rng``, in the order given. Returns ``replication_rows``,
-    method ``unbiased_ss`` first and then the baselines.
-    """
-    item_ids = np.arange(len(counts))
-
-    def one_rep(seed: int) -> pd.DataFrame:
-        rng = np.random.default_rng(seed)
-        stream = permuted_stream(counts, rng)
-        samples = {
-            "unbiased_ss": UnbiasedSpaceSaving.from_stream(
-                stream.tolist(), m, seed=seed
-            ).result()
-        }
-        for method, sampler in baselines.items():
-            samples[method] = sampler(item_ids, counts, m, rng)
-        return replication_rows(
-            seed,
-            {
-                method: {"est": [res.subset_sum(q)[0] for q in queries]}
-                for method, res in samples.items()
-            },
-        )
-
-    return run_replications(spark, n_reps, one_rep, base_seed=base_seed)
 
 
 def summarize(
@@ -104,7 +57,7 @@ def summarize(
 ) -> pd.DataFrame:
     """RRMSE per method, bucketed by the subset's true-count fraction.
 
-    ``rows`` are :func:`~repro.experiments.common.replication_rows` with
+    ``rows`` are :func:`~repro.experiments.common.replicate` rows with
     one query per subset. Returns one row per (method, bucket): the mean
     true fraction of the bucket's subsets, mean/median RRMSE, and the
     replication count, then ``extra``. Each other method's mean RRMSE

@@ -5,16 +5,20 @@ heavily skewed Weibull (shape 0.15: sd ~ 30x the mean) built by the
 inverse-CDF-on-a-grid method; a randomly permuted (exchangeable ~
 i.i.d.) stream; Unbiased Space Saving with ``m`` bins. Claim: the
 probability an item ends up labelled in the sketch matches the
-thresholded PPS inclusion probability ``min(1, alpha * n_i)``.
+thresholded PPS inclusion probability ``min(1, alpha * n_i)``. The
+empirical probability is ``common.replicate``'s mean ``C_S`` of the
+singleton query ``{i}``: 1 exactly when the sketch holds item ``i``.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
-from repro.experiments.common import bucket_by_quantile, run_replications
+from repro.experiments.common import bucket_by_quantile, replicate
 from repro.sampling.pps import thresholded_pps_probs
 from repro.streams.orders import permuted_stream
 from repro.streams.weibull import weibull_counts
@@ -32,26 +36,17 @@ def run(
     """Returns (:func:`summarize`'s decile table, the per-item frame of
     empirical vs theoretical PPS inclusion probabilities)."""
     counts = weibull_counts(n_items, shape=shape, target_total=total)
-    pi_pps = thresholded_pps_probs(counts, m)
-
-    def one_rep(rep_seed: int) -> pd.DataFrame:
-        rng = np.random.default_rng(rep_seed)
-        stream = permuted_stream(counts, rng)
-        sk = UnbiasedSpaceSaving.from_stream(stream.tolist(), m, seed=rep_seed)
-        inc = np.zeros(len(counts), dtype=np.int64)
-        inc[sk.result().items] = 1
-        return pd.DataFrame(
-            {"item": np.arange(len(counts)), "included": inc}
-        )
-
-    rows = run_replications(spark, n_reps, one_rep, "item long, included long")
-    emp = rows.groupby("item")["included"].mean()
+    items = np.arange(len(counts))
+    rows = replicate(
+        spark, partial(permuted_stream, counts), [{i} for i in items.tolist()],
+        m, n_reps, methods={"unbiased_ss": UnbiasedSpaceSaving},
+    )
     out = pd.DataFrame(
         {
-            "item": np.arange(len(counts)),
+            "item": items,
             "count": counts,
-            "pi_pps": pi_pps,
-            "pi_empirical": emp.reindex(np.arange(len(counts)), fill_value=0.0).to_numpy(),
+            "pi_pps": thresholded_pps_probs(counts, m),
+            "pi_empirical": rows.groupby("query")["c_s"].mean().to_numpy(),
         }
     )
     out["n_reps"] = n_reps

@@ -11,7 +11,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.subset_sweep import replicate, summarize, sweep_config
+from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.experiments.common import replicate
+from repro.experiments.subset_sweep import summarize, sweep_config
 
 
 def run(
@@ -36,8 +38,9 @@ def run(
             n_subsets=n_subsets,
         )
         rows = replicate(
-            spark, cfg["counts"], cfg["sets"], m, n_reps,
-            baselines={}, base_seed=shape_i * 10_000,
+            spark, cfg["arrange"], cfg["sets"], m, n_reps,
+            methods={"unbiased_ss": UnbiasedSpaceSaving},
+            base_seed=shape_i * 10_000,
         )
         tab = summarize(
             rows, cfg["truths"], cfg["total"], extra={"shape": shape}

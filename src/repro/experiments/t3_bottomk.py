@@ -7,10 +7,15 @@ its subset-sum error is orders of magnitude worse — the paper's Figure
 """
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.subset_sweep import replicate, summarize, sweep_config
+from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.experiments.common import replicate
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.sampling.bottomk import bottomk_from_counts
 
 
@@ -33,8 +38,12 @@ def run(
         subset_size=subset_size,
         n_subsets=n_subsets,
     )
+    counts = cfg["counts"]
     rows = replicate(
-        spark, cfg["counts"], cfg["sets"], m, n_reps,
-        baselines={"bottomk": bottomk_from_counts},
+        spark, cfg["arrange"], cfg["sets"], m, n_reps,
+        methods={
+            "unbiased_ss": UnbiasedSpaceSaving,
+            "bottomk": partial(bottomk_from_counts, np.arange(len(counts)), counts),
+        },
     )
     return summarize(rows, cfg["truths"], cfg["total"], extra={"shape": shape})

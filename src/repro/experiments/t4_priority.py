@@ -10,12 +10,15 @@ USS keeps it exactly.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.common import query_summary
-from repro.experiments.subset_sweep import replicate, summarize, sweep_config
+from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.experiments.common import query_summary, replicate
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.sampling.priority import priority_sample
 
 
@@ -38,10 +41,14 @@ def run(
         subset_size=subset_size,
         n_subsets=n_subsets,
     )
-    everything = set(range(len(cfg["counts"])))  # the grand-total query, last
+    counts = cfg["counts"]
+    everything = set(range(len(counts)))  # the grand-total query, last
     rows = replicate(
-        spark, cfg["counts"], [*cfg["sets"], everything], m, n_reps,
-        baselines={"priority": priority_sample},
+        spark, cfg["arrange"], [*cfg["sets"], everything], m, n_reps,
+        methods={
+            "unbiased_ss": UnbiasedSpaceSaving,
+            "priority": partial(priority_sample, np.arange(len(counts)), counts),
+        },
     )
     is_total = rows["query"] == len(cfg["sets"])
     tab = summarize(

@@ -10,7 +10,10 @@ sampling first-half items with PPS-like inclusion probabilities and
 stays unbiased.
 
 Outputs: per-item inclusion probabilities for first-half items, and
-RRMSE of random first-half subset sums for both algorithms.
+RRMSE of random first-half subset sums for both algorithms. Both come
+from one ``common.replicate`` run over the subsets and then the
+singleton query ``{i}`` of each first-half item, whose mean ``C_S`` is
+the item's inclusion probability.
 """
 from __future__ import annotations
 
@@ -23,19 +26,13 @@ from repro.core.space_saving import (
     UnbiasedSpaceSaving,
 )
 from repro.experiments.common import (
-    ROW_SCHEMA,
     bucket_by_quantile,
     draw_subsets,
     query_summary,
-    replication_rows,
-    run_replications,
+    replicate,
 )
 from repro.streams.orders import two_phase_stream
 from repro.streams.weibull import weibull_counts
-
-#: ``kind`` tells the two row sets apart: "inc" rows hold first-half item
-#: ``query``'s inclusion indicator, "est" rows subset ``query``'s estimate
-_SCHEMA = ROW_SCHEMA + ", kind string"
 
 
 def run(
@@ -54,46 +51,35 @@ def run(
     counts2 = weibull_counts(n_items_half, shape=shape, target_total=total_half)
     n_first = len(counts1)
     subsets = draw_subsets(n_first, subset_size, n_subsets, seed=777)
-    subset_sets = [set(s.tolist()) for s in subsets]
     truths = np.asarray([counts1[s].sum() for s in subsets], dtype=np.float64)
+    rows = replicate(
+        spark,
+        lambda rng: two_phase_stream(counts1, counts2, rng)[0],
+        [*(set(s.tolist()) for s in subsets), *({i} for i in range(n_first))],
+        m,
+        n_reps,
+        methods={
+            "unbiased_ss": UnbiasedSpaceSaving,
+            "deterministic_ss": DeterministicSpaceSaving,
+        },
+    )
+    is_item = rows["query"] >= n_subsets
 
-    def one_rep(rep_seed: int) -> pd.DataFrame:
-        rng = np.random.default_rng(rep_seed)
-        stream, _ = two_phase_stream(counts1, counts2, rng)
-        stream_list = stream.tolist()
-        inc, est = {}, {}
-        for method, cls in (
-            ("unbiased_ss", UnbiasedSpaceSaving),
-            ("deterministic_ss", DeterministicSpaceSaving),
-        ):
-            res = cls.from_stream(stream_list, m, seed=rep_seed).result()
-            items = res.items
-            included = np.zeros(n_first, dtype=np.float64)
-            included[items[items < n_first]] = 1.0
-            inc[method] = {"est": included}
-            est[method] = {"est": [res.subset_sum(s)[0] for s in subset_sets]}
-        return pd.concat(
-            [
-                replication_rows(rep_seed, inc).assign(kind="inc"),
-                replication_rows(rep_seed, est).assign(kind="est"),
-            ],
-            ignore_index=True,
-        )
-
-    rows = run_replications(spark, n_reps, one_rep, _SCHEMA)
-
-    inc = rows[rows["kind"] == "inc"]
-    pi = inc.groupby(["method", "query"])["est"].mean().rename("pi").reset_index()
-    pi["count"] = counts1[pi["query"].to_numpy()]
+    pi = (
+        rows[is_item].groupby(["method", "query"])["c_s"].mean()
+        .rename("pi").reset_index()
+    )
+    item = pi["query"].to_numpy() - n_subsets
+    pi["count"] = counts1[item]
     idx, _ = bucket_by_quantile(counts1.astype(float), 5)
-    pi["bucket"] = idx[pi["query"].to_numpy()]
+    pi["bucket"] = idx[item]
     inclusion_tab = (
         pi.groupby(["method", "bucket"])
         .agg(mean_count=("count", "mean"), pi_empirical=("pi", "mean"))
         .reset_index()
     )
 
-    per_subset = query_summary(rows[rows["kind"] == "est"], truths)
+    per_subset = query_summary(rows[~is_item], truths)
     err = []
     for method, grp in per_subset.groupby("method"):
         err.append(

@@ -19,16 +19,9 @@ from pyspark.sql import SparkSession
 
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.variance import pps_reference_variance
-from repro.experiments.common import (
-    ROW_SCHEMA,
-    query_summary,
-    replication_rows,
-    run_replications,
-)
+from repro.experiments.common import query_summary, replicate
 from repro.streams.orders import epoch_of_items, sorted_stream
 from repro.streams.weibull import weibull_counts
-
-_SCHEMA = ROW_SCHEMA + ", var double, lo double, hi double, c_s double"
 
 
 def epoch_setup(
@@ -69,21 +62,11 @@ def run(
         n_items=n_items, total=total, shape=shape, n_epochs=n_epochs
     )
     counts, epochs, truths = cfg["counts"], cfg["epochs"], cfg["truths"]
-    stream_arr = cfg["stream"]  # numpy: pickles compactly to the workers
-    epoch_sets = cfg["sets"]
-
-    def one_rep(rep_seed: int) -> pd.DataFrame:
-        res = UnbiasedSpaceSaving.from_stream(
-            stream_arr.tolist(), m, seed=rep_seed
-        ).result()
-        recs = [
-            (*res.subset_sum_ci(s), float(res.subset_sum(s)[1]))
-            for s in epoch_sets
-        ]
-        cols = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))
-        return replication_rows(rep_seed, {"unbiased_ss": cols})
-
-    rows = run_replications(spark, n_reps, one_rep, _SCHEMA)
+    stream = cfg["stream"]  # numpy: pickles compactly to the workers
+    rows = replicate(
+        spark, lambda rng: stream, cfg["sets"], m, n_reps,
+        methods={"unbiased_ss": UnbiasedSpaceSaving},
+    )
     by_epoch = rows.groupby("query")
     tab = query_summary(rows, truths).assign(
         epoch=lambda t: t["query"],

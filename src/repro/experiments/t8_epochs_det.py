@@ -16,11 +16,7 @@ from repro.core.space_saving import (
     DeterministicSpaceSaving,
     UnbiasedSpaceSaving,
 )
-from repro.experiments.common import (
-    query_summary,
-    replication_rows,
-    run_replications,
-)
+from repro.experiments.common import query_summary, replicate
 from repro.experiments.t7_epochs_ci import epoch_setup
 
 
@@ -38,21 +34,14 @@ def run(
     cfg = epoch_setup(
         n_items=n_items, total=total, shape=shape, n_epochs=n_epochs
     )
-    truths = cfg["truths"]
-    stream_arr = cfg["stream"]  # numpy: pickles compactly to the workers
-    epoch_sets = cfg["sets"]
-
-    def one_rep(rep_seed: int) -> pd.DataFrame:
-        est = {}
-        for method, cls in (
-            ("unbiased_ss", UnbiasedSpaceSaving),
-            ("deterministic_ss", DeterministicSpaceSaving),
-        ):
-            res = cls.from_stream(stream_arr.tolist(), m, seed=rep_seed).result()
-            est[method] = {"est": [res.subset_sum(s)[0] for s in epoch_sets]}
-        return replication_rows(rep_seed, est)
-
-    rows = run_replications(spark, n_reps, one_rep)
+    truths, stream = cfg["truths"], cfg["stream"]
+    rows = replicate(
+        spark, lambda rng: stream, cfg["sets"], m, n_reps,
+        methods={
+            "unbiased_ss": UnbiasedSpaceSaving,
+            "deterministic_ss": DeterministicSpaceSaving,
+        },
+    )
     per_epoch = query_summary(rows, truths).pivot(
         index="query", columns="method", values="rrmse"
     )

@@ -36,7 +36,10 @@ def bottomk_from_counts(
     The final state of the streaming sketch depends only on the per-item
     hash draws and exact counts, so sampling from aggregated pairs is
     distributionally identical to running over the disaggregated stream.
+    ``k`` must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
     items = np.asarray(items)
     counts = np.asarray(counts, dtype=np.float64)
     n = len(items)

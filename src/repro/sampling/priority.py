@@ -28,9 +28,11 @@ def priority_sample(
 ) -> CountSketchResult:
     """Draw a size-``m`` priority sample from pre-aggregated weights.
 
-    Every weight must be positive and finite. With at most ``m`` items
-    all are kept with their weights and threshold 0.
+    Every weight must be positive and finite, and ``m`` at least 1. With
+    at most ``m`` items all are kept with their weights and threshold 0.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m!r}")
     items = np.asarray(items)
     w = np.asarray(weights, dtype=np.float64)
     if len(items) != len(w):

@@ -204,6 +204,32 @@ class TestForwardDecay:
         sk.add("c", 0.75)  # the clock did not move to ``time``
         assert len(sk.result()) == 3
 
+    @pytest.mark.parametrize("time", [0.0, 1.0])
+    def test_total_mass_overflow_rejected(self, time):
+        # at rate 0 no weight is scaled: 1e308 twice overflows t
+        sk = ForwardDecaySpaceSaving(2, rate=0.0, seed=0)
+        sk.add("a", 0.0, 1e308)
+        before = _state(sk)
+        for item in ("a", "b"):  # held and absent
+            with pytest.raises(ValueError, match="overflows the total mass 1e\\+308"):
+                sk.add(item, time, 1e308)
+        assert _state(sk) == before
+        assert sk.result(0.0).estimates_dict() == {"a": 1e308}
+
+    def test_query_far_before_the_landmark_rejected(self):
+        # the landmark moves to 1000; exp(rate * (0 - 1000)) underflows to 0
+        sk = ForwardDecaySpaceSaving(4, rate=1.0, seed=0)
+        sk.add("a", 0.0)
+        sk.add("b", 1000.0)
+        assert sk.landmark == 1000.0
+        with pytest.raises(ValueError, match="query_time 0.0 .* landmark 1000.0"):
+            sk.result(0.0)
+        # a query before the last row but near the landmark extrapolates; a's
+        # mass underflowed to 0 when the landmark moved
+        assert sk.result(999.0).estimates_dict() == pytest.approx(
+            {"b": math.exp(1.0)}, rel=1e-12
+        )
+
     def test_landmark_move_rescales_before_the_weight(self):
         # a = 500 moves the landmark first, so a weight that would
         # overflow against the old landmark is accepted unscaled

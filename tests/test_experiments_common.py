@@ -4,27 +4,37 @@ import inspect
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.core.space_saving import DeterministicSpaceSaving, UnbiasedSpaceSaving
 from repro.experiments.common import (
     bucket_by_quantile,
     draw_subsets,
     query_summary,
+    replicate,
     replication_rows,
     rrmse,
     run_replications,
 )
 from repro.experiments.scales import BENCH, TABLES, TEST, params
-from repro.experiments.subset_sweep import replicate, summarize, sweep_config
+from repro.experiments.subset_sweep import summarize, sweep_config
 from repro.experiments.t5_criteo import _eval_queries, build_queries
 from repro.sampling.priority import priority_sample
 from repro.streams.criteo import impressions_pdf, tuple_item_column
-from repro.streams.orders import permuted_stream
+from repro.streams.orders import permuted_stream, sorted_stream
+from repro.streams.weibull import weibull_counts
+
+
+def _answers(res, queries) -> dict:
+    """One method's ``replicate`` columns, read off a result by hand."""
+    est, var, lo, hi = map(list, zip(*(res.subset_sum_ci(q) for q in queries)))
+    c_s = [res.subset_sum(q)[1] for q in queries]
+    return {"est": est, "var": var, "lo": lo, "hi": hi, "c_s": c_s}
 
 
 class TestMetrics:
@@ -79,24 +89,61 @@ class TestSweepHelpers:
             n_items=200, total=20_000, shape=0.5, subset_size=20, n_subsets=7
         )
         counts, sets, m, seed = cfg["counts"], cfg["sets"], 30, 11
+        ids = np.arange(len(counts))
         rows = replicate(
-            spark, counts, sets, m, 1,
-            baselines={"priority": priority_sample}, base_seed=seed,
+            spark, cfg["arrange"], sets, m, 1,
+            methods={
+                "unbiased_ss": UnbiasedSpaceSaving,
+                "priority": partial(priority_sample, ids, counts),
+            },
+            base_seed=seed,
         )
         rng = np.random.default_rng(seed)
         stream = permuted_stream(counts, rng)
         uss = UnbiasedSpaceSaving.from_stream(stream.tolist(), m, seed=seed)
-        ps = priority_sample(np.arange(len(counts)), counts, m, rng)
+        ps = priority_sample(ids, counts, m, rng)
         expected = replication_rows(
             seed,
             {
-                "unbiased_ss": {"est": [uss.result().subset_sum(s)[0] for s in sets]},
-                "priority": {"est": [ps.subset_sum(s)[0] for s in sets]},
+                "unbiased_ss": _answers(uss.result(), sets),
+                "priority": _answers(ps, sets),
             },
         )
         pd.testing.assert_frame_equal(rows, expected)
-        alone = replicate(spark, counts, sets, m, 1, baselines={}, base_seed=seed)
+        alone = replicate(
+            spark, cfg["arrange"], sets, m, 1,
+            methods={"unbiased_ss": UnbiasedSpaceSaving}, base_seed=seed,
+        )
         pd.testing.assert_frame_equal(alone, expected[: len(sets)])
+
+    def test_replicate_fixed_arrangement_matches_hand_built_sketches(self, spark):
+        # T8's shape: one sorted stream, both Space Saving variants; the
+        # singleton queries are T1's and T6's inclusion indicators
+        counts = np.sort(weibull_counts(60, shape=0.5, target_total=3_000))
+        stream = sorted_stream(counts)
+        m, seed = 12, 4
+        queries = [set(range(30)), set(range(30, 60)), *({i} for i in range(60))]
+        methods = {
+            "unbiased_ss": UnbiasedSpaceSaving,
+            "deterministic_ss": DeterministicSpaceSaving,
+        }
+        rows = replicate(
+            spark, lambda rng: stream, queries, m, 1,
+            methods=methods, base_seed=seed,
+        )
+        results = {
+            method: cls.from_stream(stream.tolist(), m, seed=seed).result()
+            for method, cls in methods.items()
+        }
+        expected = replication_rows(
+            seed, {method: _answers(res, queries) for method, res in results.items()}
+        )
+        pd.testing.assert_frame_equal(rows, expected)
+        for method, res in results.items():
+            single = rows[(rows["method"] == method) & (rows["query"] >= 2)]
+            held = set(res.items.tolist())
+            assert 0 < len(held) < 60
+            assert single["c_s"].tolist() == [int(i in held) for i in range(60)]
 
     def test_replication_rows_schema(self):
         rows = replication_rows(3, {"a": {"est": np.asarray([1.0, 2.0])}})

@@ -237,6 +237,22 @@ class TestMergeUnbiased:
         assert all(isinstance(x, tuple) for x in res.estimates_dict())
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize(
+    "draw",
+    [priority_sample, bottomk_from_counts, reduce_counts, merge_unbiased],
+    ids=lambda f: f.__name__,
+)
+def test_sample_size_below_one_rejected(draw, m):
+    # a size-0 sample estimates every subset as 0: biased, not empty
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"must be >= 1, got {m}"):
+        if draw is merge_unbiased:
+            draw([{"a": 1, "b": 2}], m, rng=rng)
+        else:
+            draw(np.arange(3), np.ones(3), m, rng)
+
+
 class TestMergeRule:
     """A merge reports the largest threshold of its reduction and its
     inputs, and the inputs' total mass."""

@@ -40,6 +40,17 @@ class TestBasics:
         res = sk.result()
         assert (res.t, res.estimates_dict()) == before
 
+    def test_total_mass_overflow_rejected_before_any_change(self):
+        # each weight is finite, their sum is not
+        sk = WeightedUnbiasedSpaceSaving(2, seed=0)
+        sk.add("a", 1e308)
+        before = (sk._t, dict(sk._values))
+        for item in ("a", "b"):  # held and absent
+            with pytest.raises(ValueError, match="overflows the total mass 1e\\+308"):
+                sk.add(item, 1e308)
+        assert (sk._t, dict(sk._values)) == before
+        assert sk.result().estimates_dict() == {"a": 1e308}
+
     def test_exact_when_under_capacity(self):
         sk = WeightedUnbiasedSpaceSaving(5, seed=0)
         sk.add("a", 2.5)
