@@ -14,12 +14,10 @@ import java.util.Map;
 import java.util.SplittableRandom;
 
 import org.apache.spark.TaskContext;
-import org.apache.spark.sql.Column;
 import org.apache.spark.sql.Dataset;
 import org.apache.spark.sql.Row;
 import org.apache.spark.sql.RowFactory;
 import org.apache.spark.sql.catalyst.InternalRow;
-import org.apache.spark.sql.functions;
 import org.apache.spark.sql.types.DataTypes;
 import org.apache.spark.sql.types.StructField;
 import org.apache.spark.sql.types.StructType;
@@ -55,22 +53,25 @@ public final class UssPartitionSketch {
    * Builds the sketch's query for Python: one instance per JVM, and one
    * py4j call builds a sketch's query, since each py4j call costs about a
    * millisecond.
+   *
+   * <p>Python plans the (item, weight) projection it hands over once per
+   * DataFrame object and column pair, and reuses it for every later sketch of
+   * that DataFrame. Spark memoizes the projection's {@code toRdd()}, so a
+   * repeated sketch does not plan the DataFrame's query again; the reused plan
+   * keeps the cache state of the first sketch, so caching or unpersisting the
+   * DataFrame after that changes no result.
    */
   public static final class Runner {
     /**
-     * One binary row per non-empty partition of {@code df}: its record, built
-     * over {@code itemCol} (cast to long unless {@code strings}) and
-     * {@code weightCol} (cast to double; 1.0 per row when null). Python
-     * collects them: py4j would copy a returned byte[] one byte at a time.
+     * One binary row per non-empty partition of {@code rows}: its record.
+     * {@code rows} is the projection, item (a long, or a string when
+     * {@code strings}) then weight (a double). Python collects them: py4j would
+     * copy a returned byte[] one byte at a time.
      */
-    public Dataset<Row> sketch(Dataset<Row> df, String itemCol, String weightCol, boolean strings,
-        int partitionBins, int cap, long seed) {
-      Column item = strings ? functions.col(itemCol) : functions.col(itemCol).cast("long");
-      Column weight = weightCol == null
-          ? functions.lit(1.0) : functions.col(weightCol).cast("double");
+    public Dataset<Row> sketch(Dataset<Row> rows, boolean strings, int partitionBins, int cap,
+        long seed) {
       // the engine's own rows: no per-row decoding into objects
-      Dataset<Row> rows = df.select(item, weight);
-      return df.sparkSession().createDataFrame(
+      return rows.sparkSession().createDataFrame(
           rows.queryExecution().toRdd().toJavaRDD()
               .mapPartitions(part -> build(part, strings, partitionBins, cap, seed)),
           RECORDS);

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable
 
 import numpy as np
 import pandas as pd
@@ -41,15 +40,6 @@ def item_array(items: list) -> np.ndarray:
     if len(kinds) == 1 and issubclass(kinds.pop(), (int, float, str, np.generic)):
         return np.asarray(items)
     return np.fromiter(items, dtype=object, count=len(items))
-
-
-def membership(member) -> Callable[[Hashable], bool]:
-    """Membership test for a subset given as a predicate or as items."""
-    if callable(member):
-        return member
-    if not isinstance(member, (set, frozenset)):
-        member = set(member)
-    return member.__contains__
 
 
 @dataclass(frozen=True)
@@ -108,14 +98,17 @@ class CountSketchResult:
 
         ``C_S`` feeds the variance estimator (eqs. 4-5 of the paper).
         """
-        test = membership(member)
+        held = self._by_item.items()
+        if callable(member):
+            kept = [v for x, v in held if member(x)]
+        else:
+            if not isinstance(member, (set, frozenset)):
+                member = set(member)
+            kept = [v for x, v in held if x in member]
         s = 0
-        c = 0
-        for x, v in self._by_item.items():
-            if test(x):
-                s += v
-                c += 1
-        return float(s), c
+        for v in kept:  # in the dict's order, so sums repeat bit for bit
+            s += v
+        return float(s), len(kept)
 
     def subset_sum_ci(
         self, member, *, level: float = 0.95
@@ -126,7 +119,14 @@ class CountSketchResult:
         ``variance_hat = threshold**2 * max(C_S, 1)`` and the interval is
         ``estimate +/- z * sqrt(variance_hat)`` (secs 6.4-6.5).
         """
+        return self.subset_sum_stats(member, level=level)[:4]
+
+    def subset_sum_stats(
+        self, member, *, level: float = 0.95
+    ) -> tuple[float, float, float, float, int]:
+        """:meth:`subset_sum_ci`'s four values and then ``C_S``, from one
+        scan of the items."""
         est, c_s = self.subset_sum(member)
         var = subset_sum_variance(self.threshold, c_s)
         lo, hi = normal_ci(est, var, level=level)
-        return est, var, lo, hi
+        return est, var, lo, hi, c_s

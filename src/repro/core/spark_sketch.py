@@ -25,6 +25,16 @@ collects the rows, decodes them and runs the one final merge,
 with ``javac`` on first use into ``.jvm_build/`` (keyed by a hash of the
 source; a new build deletes the jars of older sources) and loaded into
 the running session, so a JDK is required.
+
+Reuse rule: the builder reads a projection of the DataFrame onto its
+(item, weight) columns, planned once per DataFrame object and column
+pair (:data:`_ROWS`) and reused by every later sketch of it, as
+pyspark's ``DataFrame.rdd`` is; Spark memoizes the projection's
+physical plan, so a repeated sketch does not plan the DataFrame's query
+again. The reused plan keeps the cache state of the first sketch:
+caching or unpersisting the DataFrame after that changes no result, and
+the sketch neither reads a cache made later nor rebuilds one that was
+dropped.
 """
 from __future__ import annotations
 
@@ -56,6 +66,9 @@ _BUILD_DIR = Path(__file__).with_name(".jvm_build")
 # the builder's runner, loaded once into each SparkContext's JVM
 _LOADED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _LOAD_LOCK = threading.Lock()
+# each DataFrame's projection for the builder, per (item_col, weight_col):
+# the projected Dataset and whether its items are strings
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # one partition record's header, as UssPartitionSketch.Buffer.close writes it
 _HEADER = np.dtype(
     [("pid", ">i8"), ("n", ">i8"), ("rejected", ">i8"),
@@ -72,6 +85,23 @@ def _item_spark_type(df: DataFrame, item_col: str) -> str:
     raise TypeError(
         f"item column {item_col!r} must be integral or string, got {dt}"
     )
+
+
+def _projection(df: DataFrame, item_col: str, weight_col: str | None):
+    """``df``'s (item, weight) rows as the builder reads them, and whether
+    the items are strings: planned on the first call for each column pair
+    and reused after (see the module's reuse rule)."""
+    key = (item_col, weight_col)
+    plan = _ROWS.get(df, {}).get(key)
+    if plan is None:
+        strings = _item_spark_type(df, item_col) == "string"
+        item = F.col(item_col) if strings else F.col(item_col).cast("long")
+        weight = F.lit(1.0) if weight_col is None else F.col(weight_col).cast("double")
+        plan = df.select(item, weight)._jdf, strings
+        # concurrent first sketches may each plan; the plans are equivalent
+        # and one is kept
+        _ROWS.setdefault(df, {})[key] = plan
+    return plan
 
 
 def _find_javac() -> str:
@@ -195,14 +225,19 @@ def sketch_dataframe(
     (``TypeError`` otherwise); rows with a null item are excluded from
     the estimates and from ``t``; a zero-weight row adds no item; a null,
     NaN, infinite or negative weight raises ``ValueError``.
+
+    The projection onto ``(item_col, weight_col)`` is planned once per
+    DataFrame object and reused by every later call on it. Caching or
+    unpersisting ``df`` after its first sketch changes no result: the
+    reused plan keeps the first call's cache state.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     cap = min(SPILL_FACTOR * m, 2**31 - 1)  # a Java int
-    strings = _item_spark_type(df, item_col) == "string"
+    rows, strings = _projection(df, item_col, weight_col)
     spark = df.sparkSession
     jdf = _runner(spark.sparkContext).sketch(
-        df._jdf, item_col, weight_col, strings, m, cap,
+        rows, strings, m, cap,
         (seed + 2**63) % 2**64 - 2**63,  # wrapped into a Java long
     )
     records = DataFrame(jdf, spark).collect()

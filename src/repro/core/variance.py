@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -29,6 +30,7 @@ def subset_sum_variance(n_min: float, c_s: int) -> float:
     return float(n_min) ** 2 * max(c_s, 1)
 
 
+@lru_cache
 def _z_value(level: float) -> float:
     """Two-sided Normal quantile ``z`` with ``P(|Z| <= z) == level``."""
     if not 0 < level < 1:

@@ -27,8 +27,8 @@ from repro.core.variance import coverage
 #: schema of :func:`replication_rows` frames that carry only an estimate
 ROW_SCHEMA = "seed long, method string, query long, est double"
 
-#: schema of :func:`replicate` rows: ``subset_sum_ci``'s estimate, eq.-5
-#: variance and interval, then ``subset_sum``'s ``C_S``
+#: schema of :func:`replicate` rows: ``subset_sum_stats``' estimate, eq.-5
+#: variance, interval and ``C_S``
 REPLICATE_SCHEMA = ROW_SCHEMA + ", var double, lo double, hi double, c_s long"
 
 
@@ -89,7 +89,7 @@ def replicate(
                 res = make.from_stream(stream, m, seed=seed).result()
             else:
                 res = make(m, rng)
-            recs = [(*res.subset_sum_ci(q), res.subset_sum(q)[1]) for q in queries]
+            recs = [res.subset_sum_stats(q) for q in queries]
             by_method[method] = dict(zip(("est", "var", "lo", "hi", "c_s"), zip(*recs)))
         return replication_rows(seed, by_method)
 

@@ -81,3 +81,23 @@ class TestCountSketchResult:
         )
         est, var, lo, hi = r.subset_sum_ci({1})
         assert var == 0.0 and lo == hi == est == 4.0
+
+    def test_subset_sum_adds_in_item_order(self):
+        # 1e16 + 1 + 1 rounds to 1e16 in this order, to 1e16 + 2 in reverse
+        r = CountSketchResult(
+            np.asarray([1, 2, 3]), np.asarray([1e16, 1.0, 1.0]), 1.0, 1e16 + 2
+        )
+        for member in ({3, 2, 1}, [3, 2, 1], lambda x: True):
+            assert r.subset_sum(member) == (1e16, 3)
+
+    def test_subset_sum_stats_is_one_scan(self):
+        r = _res()
+        seen = []
+
+        def member(x):
+            seen.append(x)
+            return x in (10, 30)
+
+        stats = r.subset_sum_stats(member, level=0.9)
+        assert seen == [10, 20, 30]
+        assert stats == (*r.subset_sum_ci({10, 30}, level=0.9), 2)

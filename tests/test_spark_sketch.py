@@ -1,10 +1,12 @@
 """Spark DataFrame sketch operator tests (distributed dataflow)."""
+import gc
 import itertools
 import shutil
 import subprocess
 import sys
 import time
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -196,6 +198,67 @@ class TestDataflow:
         want = exact_counts(df, "k", weight_col=weight).toPandas().dropna(subset=["item"])
         assert res.estimates_dict() == dict(zip(want["item"].astype(int), want["n"]))
         assert res.t == want["n"].sum() == (10.0 if weight else 6.0)
+
+
+def _same(a, b) -> bool:
+    """Whether two results are bit-identical."""
+    return (
+        np.array_equal(a.items, b.items) and a.estimates.tobytes() == b.estimates.tobytes()
+        and (a.threshold, a.t) == (b.threshold, b.t)
+    )
+
+
+def _keyed(spark, n=4000, parts=4):
+    """A pandas-built table of ``n`` rows over 300 keys that spills at m=20."""
+    g = np.random.default_rng(9)
+    pdf = pd.DataFrame({"k": g.integers(0, 300, n), "w": g.integers(1, 9, n).astype(float)})
+    return spark.createDataFrame(pdf).repartition(parts)
+
+
+class TestReusedProjection:
+    """Each DataFrame's (item, weight) projection is planned once and reused."""
+
+    def test_second_sketch_is_identical_and_plans_nothing(self, spark):
+        df = _keyed(spark)
+        first = sketch_dataframe(df, "k", 20, seed=3)
+        plan = spark_sketch._ROWS[df][("k", None)]
+        assert _same(sketch_dataframe(df, "k", 20, seed=3), first)
+        assert list(spark_sketch._ROWS[df]) == [("k", None)]
+        assert spark_sketch._ROWS[df][("k", None)] is plan
+        sketch_dataframe(df, "k", 20, weight_col="w", seed=3)
+        sketch_dataframe(df, "k", 20, weight_col="w", seed=4)
+        assert set(spark_sketch._ROWS[df]) == {("k", None), ("k", "w")}
+
+    def test_unpersist_after_first_sketch(self, spark):
+        sc = spark.sparkContext
+        before = set(sc._jsc.getPersistentRDDs().keys())
+        df = _keyed(spark).cache()
+        df.count()
+        first = sketch_dataframe(df, "k", 20, weight_col="w", seed=5)
+        df.unpersist(blocking=True)
+        assert _same(sketch_dataframe(df, "k", 20, weight_col="w", seed=5), first)
+        # the reused plan reads the dropped cache's lineage and persists nothing
+        assert set(sc._jsc.getPersistentRDDs().keys()) == before
+
+    def test_cache_after_first_sketch(self, spark):
+        df = _keyed(spark)
+        first = sketch_dataframe(df, "k", 20, seed=6)
+        df.cache()
+        df.count()
+        try:
+            assert _same(sketch_dataframe(df, "k", 20, seed=6), first)
+        finally:
+            df.unpersist(blocking=True)
+
+    def test_collected_dataframe_frees_its_entry(self, spark):
+        df = _keyed(spark, n=100)
+        sketch_dataframe(df, "k", 20, seed=7)
+        held = len(spark_sketch._ROWS)
+        ref = weakref.ref(df)
+        del df
+        gc.collect()
+        assert ref() is None
+        assert len(spark_sketch._ROWS) <= held - 1
 
 
 class TestInputContract:

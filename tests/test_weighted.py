@@ -296,7 +296,7 @@ class TestState:
             pass
 
         class Runner:
-            def sketch(self, jdf, item_col, weight_col, strings, bins, cap, seed):
+            def sketch(self, rows, strings, bins, cap, seed):
                 raise Handed(bins, cap)
 
         monkeypatch.setattr(spark_sketch, "_runner", lambda sc: Runner())
